@@ -115,13 +115,15 @@ class PerturbationTrace:
         return self.eps_final <= self.eps * self.bound_product * (1.0 + slack)
 
 
-def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float, seed: int,
-                  *, sn_iters: int = 300, sn_tol: float = 1e-14) -> PerturbationTrace:
+def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
+                  seed: int) -> PerturbationTrace:
     """Evaluate clean and perturbed trajectories through a residual chain.
 
     eps_t is the Euclidean norm of the difference at each block boundary;
     alpha_t is the max element of the block's constant vector (1 when the
-    block has no slot); ||W_t||_2 comes from power iteration.
+    block has no slot); ||W_t||_2 is computed exactly (`spectral_norm` of an
+    explicit matrix), so each factor 1 + alpha_t ||W_t||_2 is an upper bound
+    on the block's amplification up to rounding.
     """
     if eps <= 0:
         raise InvariantError(f"eps must be positive, got {eps}")
@@ -148,8 +150,7 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float, seed: int
                 raise InvariantError(f"block {block['index']}: alpha {alpha} outside (0,1)")
         else:
             alpha = 1.0
-        w_norm = spectral_norm(MatrixOperator(params.values[block["weight"]]),
-                               iters=sn_iters, tol=sn_tol)
+        w_norm = spectral_norm(MatrixOperator(params.values[block["weight"]]))
         factor = 1.0 + alpha * w_norm
         product *= factor
         trace.rows.append(TraceRow(t=block["index"], eps_t=eps_next, alpha_t=alpha,

@@ -121,7 +121,7 @@ def cmd_fuse(args) -> int:
     fused_graph, fused_params, report = fuse_model(graph, params,
                                                    verify_samples=args.n,
                                                    seed=args.seed)
-    if report.max_deviation > args.tol:
+    if not report.max_deviation <= args.tol:
         print(f"error: fusion verification failed: deviation {report.max_deviation!r} "
               f"exceeds tolerance {args.tol!r}", file=sys.stderr)
         return 1
@@ -140,8 +140,8 @@ def cmd_verify(args) -> int:
     b = load_checkpoint(args.checkpoint_b)
     dev = verify_equivalence(a, b, n=args.n, seed=args.seed)
     print(f"max relative deviation {dev!r} over {args.n} inputs (tol {args.tol!r})")
-    if dev > args.tol:
-        print(f"error: verification failed: deviation {dev!r} > tol {args.tol!r}",
+    if not dev <= args.tol:
+        print(f"error: verification failed: deviation {dev!r} exceeds tol {args.tol!r}",
               file=sys.stderr)
         return 1
     return 0

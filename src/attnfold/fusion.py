@@ -202,7 +202,8 @@ def verify_equivalence(model_a, model_b, n: int = 100, seed: int = 0,
     """Max over n seeded random inputs of |a-b|_inf / (1 + |a|_inf).
 
     Accepts (graph, params) pairs or FuncModel instances. When `tol` is
-    given, raises InvariantError if the deviation exceeds it.
+    given, raises InvariantError unless the deviation is at most `tol`, so a
+    NaN deviation fails.
     """
     a = _as_func_model(model_a)
     b = _as_func_model(model_b)
@@ -217,6 +218,6 @@ def verify_equivalence(model_a, model_b, n: int = 100, seed: int = 0,
     per_input = (np.abs(flat_a - flat_b).max(axis=1)
                  / (1.0 + np.abs(flat_a).max(axis=1)))
     dev = float(per_input.max()) if n > 0 else 0.0
-    if tol is not None and dev > tol:
+    if tol is not None and not dev <= tol:
         raise InvariantError(f"equivalence deviation {dev:.3e} exceeds tolerance {tol:.3e}")
     return dev

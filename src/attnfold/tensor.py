@@ -208,14 +208,23 @@ class ConvOperator:
 
 
 def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
-    """Largest singular value of a linear operator by power iteration.
+    """Largest singular value ||A||_2 of a linear operator.
 
-    Iterates v <- A^T A v with normalization from a seeded start vector;
-    stops early when successive estimates differ by less than `tol`.
-    Returns 0 for the zero operator.
+    For an explicit `MatrixOperator` the norm is exact up to rounding: one
+    symmetric eigen-solve of the smaller Gram matrix (W W^T or W^T W). For an
+    implicit operator such as `ConvOperator`, which has no dense matrix,
+    power iteration v <- A^T A v runs from a seeded start vector and stops
+    early when successive estimates differ by less than `tol`; `iters`, `tol`
+    and `seed` apply to that path only. Its estimate approaches the norm from
+    below, its error shrinking by (s2/s1)^2 per step, so a near-tied leading
+    pair of singular values slows it. Returns 0 for the zero operator.
     """
     if iters < 1:
         raise InvariantError(f"iters must be >= 1, got {iters}")
+    if isinstance(op, MatrixOperator):
+        w = op.w
+        gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
+        return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.input_size)
     v /= np.linalg.norm(v)

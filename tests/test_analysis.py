@@ -139,6 +139,18 @@ class TestPerturbTrace:
         assert all(0 < r.alpha_t < 1 for r in tr_asr.rows)
         assert tr_asr.bound_product < tr_plain.bound_product
 
+    def test_w_norm_is_exact(self):
+        # power iteration under-estimated block0's norm here by 6.7e-7, so
+        # the factor was not an upper bound
+        g = build_residual_chain(8, 128, psi_seed=0)
+        p = init_params(g, seed=100)
+        x0 = np.random.default_rng(12).standard_normal(128)
+        trace = perturb_trace(g, p, x0, eps=1e-2, seed=13)
+        for row in trace.rows:
+            w = p.values[f"block{row.t}.lin.w"]
+            oracle = np.linalg.svd(w, compute_uv=False)[0]
+            assert abs(row.w_norm - oracle) <= 1e-12 * oracle
+
     def test_non_conforming_graph_rejected(self):
         g = build_toy_resnet(1, 4, 3, None, image_size=6)
         p = init_params(g, seed=0)

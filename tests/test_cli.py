@@ -1,7 +1,10 @@
 """CLI: end-to-end command flows, determinism of emitted artifacts."""
 
+import numpy as np
 import pytest
 
+from attnfold import (AttachSpec, AttentionKind, build_toy_resnet, init_params,
+                      save_checkpoint)
 from attnfold.cli import main
 
 CFG = """
@@ -38,6 +41,19 @@ def workspace(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def nan_checkpoint_pair(root):
+    """A seeded SE-slot ResNet checkpoint and a copy with one NaN weight."""
+    spec = AttachSpec(kind=AttentionKind("se", reduction=2))
+    g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+    p = init_params(g, seed=21)
+    clean, bad = root / "clean.ckpt", root / "nan.ckpt"
+    save_checkpoint(clean, g, p)
+    p.values["head.w"] = p.values["head.w"].copy()
+    p.values["head.w"][0, 0] = np.nan
+    save_checkpoint(bad, g, p)
+    return clean, bad
 
 
 def only_run_dir(root):
@@ -118,6 +134,18 @@ class TestFuseVerify:
         a = only_run_dir(out1) / "checkpoint.ckpt"
         b = only_run_dir(out2) / "checkpoint.ckpt"
         assert run(["verify", a, b]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_verify_fails_closed_on_nan(self, tmp_path, capsys):
+        clean, bad = nan_checkpoint_pair(tmp_path)
+        assert run(["verify", clean, bad, "--tol", "1e-9"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_fuse_fails_closed_on_nan(self, tmp_path, capsys):
+        _, bad = nan_checkpoint_pair(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        assert run(["fuse", bad, fused]) == 1
+        assert not fused.exists()
         assert "error:" in capsys.readouterr().err
 
     def test_fuse_without_slots_is_identity(self, workspace):

@@ -292,6 +292,13 @@ class TestVerifyEquivalence:
         with pytest.raises(InvariantError, match="deviation"):
             verify_equivalence(m1, m2, n=3, seed=3, tol=1e-9)
 
+    def test_tol_fails_closed_on_nan(self):
+        from attnfold import InvariantError
+        m1 = FuncModel(fn=lambda x: x, input_shape=(2,))
+        m2 = FuncModel(fn=lambda x: np.full_like(x, np.nan), input_shape=(2,))
+        with pytest.raises(InvariantError, match="deviation"):
+            verify_equivalence(m1, m2, n=3, seed=3, tol=1e-9)
+
 
 class TestFusionReportCsv:
     def test_columns(self):

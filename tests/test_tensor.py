@@ -274,3 +274,59 @@ class TestSpectralNorm:
         y = rng.standard_normal(op.apply(x).size)
         assert np.dot(op.apply(x), y) == pytest.approx(np.dot(x, op.apply_transpose(y)),
                                                        rel=1e-12)
+
+
+def dense_matrix(op):
+    """The operator's dense matrix, one column per unit input vector."""
+    return np.stack([op.apply(e) for e in np.eye(op.input_size)], axis=1)
+
+
+def svd_norm(w):
+    return float(np.linalg.svd(w, compute_uv=False)[0])
+
+
+class TestSpectralNormPaths:
+    """Explicit matrices take the exact path; implicit convs power-iterate."""
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (7, 7), (3, 64), (64, 3)])
+    def test_matrix_exact_against_svd(self, shape):
+        w = np.random.default_rng(sum(shape)).standard_normal(shape)
+        oracle = svd_norm(w)
+        assert abs(spectral_norm(MatrixOperator(w)) - oracle) <= 1e-12 * oracle
+
+    def test_matrix_ignores_power_iteration_knobs(self):
+        w = np.random.default_rng(18).standard_normal((20, 30))
+        assert (spectral_norm(MatrixOperator(w), iters=1, tol=1.0, seed=5)
+                == spectral_norm(MatrixOperator(w)))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (0, 4), (4, 0)])
+    def test_zero_and_empty_matrix(self, shape):
+        assert spectral_norm(MatrixOperator(np.zeros(shape))) == 0.0
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_conv_operator_against_dense_svd(self, ksize, stride, padding):
+        rng = np.random.default_rng(100 * ksize + 10 * stride + padding)
+        op = ConvOperator(rng.standard_normal((3, 2, ksize, ksize)),
+                          ConvSpec(stride=stride, padding=padding), (6, 6))
+        s = np.linalg.svd(dense_matrix(op), compute_uv=False)
+        iters = 2000
+        got = spectral_norm(op, iters=iters, tol=1e-14)
+        # Power iteration approaches s0 from below, shrinking the error by
+        # (s1/s0)^2 per step. Where that rate leaves it short after `iters`
+        # steps (padded convs can have a near-tied leading pair), it must
+        # still resolve the norm to the leading gap; an exact tie converges
+        # like a single leading value.
+        ratio = s[1] / s[0]
+        slow = ratio ** (2 * iters) >= 1e-12
+        rel = max(1e-9, 1.0 - ratio) if slow else 1e-9
+        assert s[0] * (1.0 - rel) <= got <= s[0] * (1.0 + 1e-12)
+
+    def test_conv_operator_non_decreasing_in_iters(self):
+        k = np.random.default_rng(19).standard_normal((3, 2, 3, 3))
+        op = ConvOperator(k, ConvSpec(stride=1, padding=1), (5, 5))
+        ests = [spectral_norm(op, iters=n, tol=0.0) for n in (1, 2, 5, 10, 30, 80)]
+        for a, b in zip(ests, ests[1:]):
+            assert b >= a - 1e-12
+        assert ests[-1] <= svd_norm(dense_matrix(op)) * (1 + 1e-12)
