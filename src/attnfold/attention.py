@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantError, ShapeError
+from .errors import InvariantError, ShapeError, require_keys
 from .tensor import Tensor, as_array
 
 VARIANTS = ("se", "ie", "srm", "spa", "eca", "cbam", "no_body")
@@ -82,6 +82,7 @@ class AttentionKind:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttentionKind":
+        require_keys(d, ("variant", "reduction", "levels", "kernel"), "attention kind")
         return cls(variant=d["variant"], reduction=d["reduction"],
                    levels=tuple(d["levels"]), kernel=d["kernel"])
 
@@ -157,6 +158,8 @@ class AsrSlot:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AsrSlot":
+        require_keys(d, ("slot_id", "kind", "channels", "position", "delta_index",
+                         "psi_mode", "psi_init", "psi_seed"), "slot")
         return cls(slot_id=d["slot_id"], kind=AttentionKind.from_dict(d["kind"]),
                    channels=d["channels"], position=d["position"],
                    delta_index=d["delta_index"], psi_mode=d["psi_mode"],
@@ -193,6 +196,8 @@ class AttnModule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttnModule":
+        require_keys(d, ("module_id", "kind", "channels", "position", "delta_index"),
+                     "attention module")
         return cls(module_id=d["module_id"], kind=AttentionKind.from_dict(d["kind"]),
                    channels=d["channels"], position=d["position"],
                    delta_index=d["delta_index"])

@@ -52,6 +52,12 @@ def save_checkpoint(path, graph: ModelGraph, params: ParamSet) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
+    """Read a checkpoint; every check the kernels rely on happens here.
+
+    Raises FormatError for a malformed container, a graph JSON with a missing
+    key, tensors that do not match the graph, a non-finite tensor or a
+    negative BN running variance, naming the offending key or tensor.
+    """
     blob = Path(path).read_bytes()
     graph_dict, entries, payload = _split(blob, str(path))
     graph = ModelGraph.from_dict(graph_dict)
@@ -84,6 +90,10 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
         if arr.shape != tuple(expected[name]):
             raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, "
                               f"graph expects {tuple(expected[name])}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} has non-finite elements")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise FormatError(f"{path}: tensor {name!r} has negative elements")
     params = ParamSet(values=values, trainable=trainable_names(graph))
     return graph, params
 

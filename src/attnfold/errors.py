@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the schema check that raises one."""
 
 
 class ShapeError(ValueError):
@@ -27,3 +27,12 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """A run configuration is invalid or contains unknown keys."""
+
+
+def require_keys(d, keys: tuple[str, ...], what: str) -> None:
+    """Raise FormatError unless `d` is a dict holding every key in `keys`."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise FormatError(f"{what} is missing key {missing[0]!r}")

@@ -9,10 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AsrSlot, AttnModule, init_attention_params
-from .errors import GraphError
+from .errors import GraphError, require_keys
 
-LAYER_KINDS = ("input", "conv", "bn", "relu", "linear", "gap", "maxpool2",
-               "add", "asr", "attn")
+# Layer kind -> the attrs its nodes must carry.
+LAYER_ATTRS = {"input": (), "conv": ("in_ch", "out_ch", "kh", "kw", "stride", "padding"),
+               "bn": ("channels",), "relu": (), "linear": ("in_dim", "out_dim"),
+               "gap": (), "maxpool2": (), "add": (), "asr": ("slot",), "attn": ("module",)}
+LAYER_KINDS = tuple(LAYER_ATTRS)
 
 BN_MOMENTUM = 0.9  # running <- momentum*running + (1-momentum)*batch
 BN_EPS = 1e-5
@@ -31,6 +34,9 @@ class LayerNode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerNode":
+        require_keys(d, ("name", "kind", "inputs", "attrs"), "graph node")
+        require_keys(d["attrs"], LAYER_ATTRS.get(d["kind"], ()),
+                     f"attrs of {d['kind']} node {d['name']!r}")
         return cls(name=d["name"], kind=d["kind"],
                    inputs=list(d["inputs"]), attrs=dict(d["attrs"]))
 
@@ -66,6 +72,8 @@ class ModelGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelGraph":
+        require_keys(d, ("nodes", "slots", "modules", "input_shape", "classes", "meta"),
+                     "graph")
         g = cls(nodes=[LayerNode.from_dict(n) for n in d["nodes"]],
                 slots={k: AsrSlot.from_dict(s) for k, s in d["slots"].items()},
                 modules={k: AttnModule.from_dict(m) for k, m in d["modules"].items()},

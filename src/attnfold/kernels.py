@@ -7,6 +7,7 @@ validation; the public wrappers in `tensor` add the contract checks.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 _SIG_LO = np.nextafter(0.0, 1.0)
@@ -45,35 +46,62 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix."""
+    """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major.
+
+    Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
+    ordered (c, i, j) like `k.reshape(o, -1)`. This layout and the three
+    GEMMs on it (`cols @ k.T` forward, `dy.T @ cols` and `dy @ k` backward)
+    are the conv contract: a faster fill or drain must keep every patch
+    value, GEMM operand and addition order, so that conv outputs and
+    gradients stay bit-identical (the finite-difference gradient check is
+    sensitive to one ulp of the loss). The matrix is one copy of a strided
+    window view of the padded input; the copy is fresh and writable even
+    where the view alone would already be contiguous.
+    """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    sn, sc, sh, sw = x.strides
+    windows = as_strided(x, shape=(n, oh, ow, c, kh, kw),
+                         strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+    return windows.copy().reshape(n * oh * ow, c * kh * kw)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
            stride: int, padding: int) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patches back to [N,C,H,W]."""
+    """Adjoint of im2col: scatter-add patches back to [N,C,H,W].
+
+    Each sample's rows are transposed once into a reused tap-major buffer,
+    then the taps are added in (i, j) order, so every pixel sums its
+    contributions in the same order as a tap-by-tap scatter over the batch.
+    """
     n, c, h, w = x_shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    cols = cols.reshape(n, oh, ow, c, kh, kw)
+    taps = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
     img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            img[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
+    for s in range(n):
+        taps[...] = cols[s].transpose(2, 3, 4, 0, 1)
+        for i in range(kh):
+            i_max = i + stride * oh
+            for j in range(kw):
+                j_max = j + stride * ow
+                img[s, :, i:i_max:stride, j:j_max:stride] += taps[:, i, j]
     if padding > 0:
         img = img[:, :, padding:padding + h, padding:padding + w]
     return img
+
+
+def _output_rows(y: np.ndarray) -> np.ndarray:
+    """[N,O,OH,OW] -> [N*OH*OW, O], rows in patch-matrix order."""
+    return y.transpose(0, 2, 3, 1).reshape(-1, y.shape[1])
+
+
+def _input_grad(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
+                stride: int, padding: int) -> np.ndarray:
+    o, _, kh, kw = k.shape
+    return col2im(dy_rows @ k.reshape(o, -1), x_shape, kh, kw, stride, padding)
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray,
@@ -89,14 +117,18 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray,
     return np.ascontiguousarray(y), cache
 
 
+def conv2d_backward_input(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
+                          stride: int, padding: int) -> np.ndarray:
+    """dL/dx of a conv with kernels k [O,C,kh,kw] given dL/dy [N,O,OH,OW]."""
+    return _input_grad(_output_rows(dy), k, x_shape, stride, padding)
+
+
 def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    o, c, kh, kw = cache["k_shape"]
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, o)
-    db = dy_mat.sum(axis=0)
-    dk = (dy_mat.T @ cache["cols"]).reshape(o, c, kh, kw)
-    dcols = dy_mat @ k.reshape(o, -1)
-    dx = col2im(dcols, cache["x_shape"], kh, kw, cache["stride"], cache["padding"])
+    dy_rows = _output_rows(dy)
+    db = dy_rows.sum(axis=0)
+    dk = (dy_rows.T @ cache["cols"]).reshape(cache["k_shape"])
+    dx = _input_grad(dy_rows, k, cache["x_shape"], cache["stride"], cache["padding"])
     return dx, dk, db
 
 

@@ -197,13 +197,9 @@ class ConvOperator:
         return y.reshape(-1)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        o = self.k.shape[0]
-        dy = v.reshape(1, o, self.oh, self.ow)
-        dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, o)
-        dcols = dy_mat @ self.k.reshape(o, -1)
-        dx = kernels.col2im(dcols, (1, self.k.shape[1], self.h, self.w),
-                            self.k.shape[2], self.k.shape[3],
-                            self.spec.stride, self.spec.padding)
+        dy = v.reshape(1, self.k.shape[0], self.oh, self.ow)
+        dx = kernels.conv2d_backward_input(dy, self.k, (1, self.k.shape[1], self.h, self.w),
+                                           self.spec.stride, self.spec.padding)
         return dx.reshape(-1)
 
 

@@ -1,10 +1,12 @@
 """CLI: end-to-end command flows, determinism of emitted artifacts."""
 
+import json
+
 import numpy as np
 import pytest
 
 from attnfold import (AttachSpec, AttentionKind, build_toy_resnet, init_params,
-                      save_checkpoint)
+                      load_checkpoint, save_checkpoint)
 from attnfold.cli import main
 
 CFG = """
@@ -148,6 +150,19 @@ class TestFuseVerify:
         assert not fused.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_fails_closed_on_overflowing_forward(self, tmp_path, capsys):
+        # Finite weights load, but inf - inf in the forward makes the deviation NaN.
+        clean, _ = nan_checkpoint_pair(tmp_path)
+        g, p = load_checkpoint(clean)
+        p.values["stem.conv.k"] = np.full_like(p.values["stem.conv.k"], 1e308)
+        huge = tmp_path / "huge.ckpt"
+        save_checkpoint(huge, g, p)
+        assert run(["verify", clean, huge, "--tol", "1e-9"]) == 1
+        out, err = capsys.readouterr()
+        assert "deviation nan" in out
+        assert "error: verification failed" in err
+
     def test_fuse_without_slots_is_identity(self, workspace):
         root, cfg = workspace
         out = root / "runs"
@@ -169,6 +184,40 @@ class TestFuseVerify:
         run(["fuse", ckpt, f1])
         run(["fuse", ckpt, f2])
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestCheckpointValidation:
+    def test_bench_rejects_nan_weight(self, tmp_path, capsys):
+        _, bad = nan_checkpoint_pair(tmp_path)
+        assert run(["--out-root", tmp_path / "runs", "bench", bad,
+                    "--warmup", 0, "--iters", 1]) == 1
+        assert "'head.w'" in capsys.readouterr().err
+
+    def test_bench_rejects_negative_running_var(self, tmp_path, capsys):
+        clean, _ = nan_checkpoint_pair(tmp_path)
+        g, p = load_checkpoint(clean)
+        p.values["stem.bn.running_var"] = -p.values["stem.bn.running_var"]
+        bad = tmp_path / "negvar.ckpt"
+        save_checkpoint(bad, g, p)
+        assert run(["--out-root", tmp_path / "runs", "bench", bad,
+                    "--warmup", 0, "--iters", 1]) == 1
+        assert "'stem.bn.running_var'" in capsys.readouterr().err
+
+    def test_empty_graph_json(self, tmp_path, capsys):
+        f = tmp_path / "empty.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph {}\npayload 0\n")
+        assert run(["verify", f, f]) == 1
+        assert "'nodes'" in capsys.readouterr().err
+
+    def test_conv_missing_in_ch(self, tmp_path, capsys):
+        g = build_toy_resnet(1, 4, 3, None, image_size=6)
+        d = g.to_dict()
+        del next(n for n in d["nodes"] if n["kind"] == "conv")["attrs"]["in_ch"]
+        f = tmp_path / "no_in_ch.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
+                      + b"\npayload 0\n")
+        assert run(["verify", f, f]) == 1
+        assert "'in_ch'" in capsys.readouterr().err
 
 
 class TestStripeCommand:
