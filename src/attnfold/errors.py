@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the schema check that raises one."""
+"""Exception types shared across the package, and the schema checks that raise one."""
 
 
 class ShapeError(ValueError):
@@ -36,3 +36,14 @@ def require_keys(d, keys: tuple[str, ...], what: str) -> None:
     missing = [k for k in keys if k not in d]
     if missing:
         raise FormatError(f"{what} is missing key {missing[0]!r}")
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def require_types(d: dict, types: dict[str, type], what: str) -> None:
+    """Raise FormatError unless each key in `types` holds a value of that type."""
+    for key, kind in types.items():
+        if not isinstance(d[key], kind):
+            raise FormatError(f"{what} key {key!r} must be a JSON {_JSON_NAMES[kind]}, "
+                              f"got {type(d[key]).__name__}")

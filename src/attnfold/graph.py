@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AsrSlot, AttnModule, init_attention_params
-from .errors import GraphError, require_keys
+from .errors import GraphError, require_keys, require_types
 
 # Layer kind -> the attrs its nodes must carry.
 LAYER_ATTRS = {"input": (), "conv": ("in_ch", "out_ch", "kh", "kw", "stride", "padding"),
@@ -35,6 +35,8 @@ class LayerNode:
     @classmethod
     def from_dict(cls, d: dict) -> "LayerNode":
         require_keys(d, ("name", "kind", "inputs", "attrs"), "graph node")
+        require_types(d, {"name": str, "kind": str, "inputs": list, "attrs": dict},
+                      "graph node")
         require_keys(d["attrs"], LAYER_ATTRS.get(d["kind"], ()),
                      f"attrs of {d['kind']} node {d['name']!r}")
         return cls(name=d["name"], kind=d["kind"],
@@ -74,6 +76,8 @@ class ModelGraph:
     def from_dict(cls, d: dict) -> "ModelGraph":
         require_keys(d, ("nodes", "slots", "modules", "input_shape", "classes", "meta"),
                      "graph")
+        require_types(d, {"nodes": list, "slots": dict, "modules": dict,
+                          "input_shape": list, "meta": dict}, "graph")
         g = cls(nodes=[LayerNode.from_dict(n) for n in d["nodes"]],
                 slots={k: AsrSlot.from_dict(s) for k, s in d["slots"].items()},
                 modules={k: AttnModule.from_dict(m) for k, m in d["modules"].items()},

@@ -6,8 +6,9 @@ validation; the public wrappers in `tensor` add the contract checks.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 _SIG_LO = np.nextafter(0.0, 1.0)
@@ -45,6 +46,22 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return oh, ow
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat offsets of every patch element in one padded [C,Hp,Wp] sample.
+
+    Ordered (oh, ow, c, i, j), i.e. the patch matrix's rows then columns.
+    Cached per geometry and read-only, since every caller shares it.
+    """
+    oh, ow = conv_output_hw(hp, wp, kh, kw, stride, 0)
+    tap = (np.arange(c)[:, None, None] * (hp * wp)
+           + np.arange(kh)[None, :, None] * wp + np.arange(kw)[None, None, :])
+    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow)[None, :] * stride
+    idx = (corner.reshape(-1, 1) + tap.reshape(1, -1)).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major.
 
@@ -54,18 +71,19 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     are the conv contract: a faster fill or drain must keep every patch
     value, GEMM operand and addition order, so that conv outputs and
     gradients stay bit-identical (the finite-difference gradient check is
-    sensitive to one ulp of the loss). The matrix is one copy of a strided
-    window view of the padded input; the copy is fresh and writable even
-    where the view alone would already be contiguous.
+    sensitive to one ulp of the loss). The matrix is filled by one
+    bounds-checked `take` of each padded sample through a flat index that
+    is built once per geometry (`_patch_index`, an LRU cache); the result
+    is always a fresh, writable array.
     """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sn, sc, sh, sw = x.strides
-    windows = as_strided(x, shape=(n, oh, ow, c, kh, kw),
-                         strides=(sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
-    return windows.copy().reshape(n * oh * ow, c * kh * kw)
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    idx = _patch_index(c, x.shape[2], x.shape[3], kh, kw, stride)
+    return x.reshape(n, -1).take(idx, axis=1).reshape(n * oh * ow, c * kh * kw)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
@@ -110,7 +128,8 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray,
     o, _, kh, kw = k.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
-    y = cols @ k.reshape(o, -1).T + b
+    y = cols @ k.reshape(o, -1).T
+    y += b
     y = y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
     cache = {"cols": cols, "x_shape": x.shape, "k_shape": k.shape,
              "stride": stride, "padding": padding}
@@ -182,11 +201,14 @@ def batchnorm_train_backward(dy: np.ndarray, cache: dict
 def batchnorm_eval_forward(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
                            gamma: np.ndarray, beta: np.ndarray, eps: float,
                            noise: tuple[float, float] | None = None) -> np.ndarray:
-    xhat = (x - _bn_expand(mean, x.ndim)) / _bn_expand(np.sqrt(var + eps), x.ndim)
+    y = x - _bn_expand(mean, x.ndim)
+    y /= _bn_expand(np.sqrt(var + eps), x.ndim)
     if noise is not None:
         na, nb = noise
-        xhat = xhat * na + nb
-    return xhat * _bn_expand(gamma, x.ndim) + _bn_expand(beta, x.ndim)
+        y = y * na + nb
+    y *= _bn_expand(gamma, x.ndim)
+    y += _bn_expand(beta, x.ndim)
+    return y
 
 
 def gap_forward(x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ from .errors import InvariantError, ShapeError
 class Tensor:
     """Immutable dense N-dimensional float64 array, row-major.
 
-    Construction rejects NaN/Inf. `data` is the backing numpy array and
-    must not be written to.
+    Construction rejects NaN/Inf. `data` is a read-only view of the backing
+    numpy array; the array passed in keeps its own writeable flag.
     """
 
     __slots__ = ("data",)
@@ -27,7 +27,9 @@ class Tensor:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if not _checked and not np.isfinite(arr).all():
             raise InvariantError("tensor contains non-finite elements")
-        object.__setattr__(self, "data", arr)
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":

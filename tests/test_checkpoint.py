@@ -236,3 +236,21 @@ class TestGraphSchema:
         del next(iter(d["slots"].values()))["kind"]["reduction"]
         with pytest.raises(FormatError, match="attention kind.*'reduction'"):
             ModelGraph.from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [("nodes", 5), ("slots", []), ("modules", 3),
+                                           ("input_shape", 7), ("meta", 1)])
+    def test_model_graph_wrong_type(self, model, key, value):
+        g, _ = model
+        d = g.to_dict()
+        d[key] = value
+        with pytest.raises(FormatError, match=f"graph key {key!r}"):
+            ModelGraph.from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [("name", 3), ("kind", ["conv"]),
+                                           ("inputs", "input"), ("attrs", [])])
+    def test_layer_node_wrong_type(self, key, value):
+        d = LayerNode("c", "conv", ["input"], {"in_ch": 1, "out_ch": 1, "kh": 1,
+                                               "kw": 1, "stride": 1, "padding": 0}).to_dict()
+        d[key] = value
+        with pytest.raises(FormatError, match=f"graph node key {key!r}"):
+            LayerNode.from_dict(d)

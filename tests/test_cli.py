@@ -219,6 +219,15 @@ class TestCheckpointValidation:
         assert run(["verify", f, f]) == 1
         assert "'in_ch'" in capsys.readouterr().err
 
+    def test_graph_value_of_wrong_type(self, tmp_path, capsys):
+        d = build_toy_resnet(1, 4, 3, None, image_size=6).to_dict()
+        d["nodes"] = 5
+        f = tmp_path / "int_nodes.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
+                      + b"\npayload 0\n")
+        assert run(["verify", f, f]) == 1
+        assert "'nodes' must be a JSON array" in capsys.readouterr().err
+
 
 class TestStripeCommand:
     def test_summaries(self, workspace):

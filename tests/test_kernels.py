@@ -1,4 +1,5 @@
-"""im2col / col2im against loop oracles: exact values, adjointness, fresh output."""
+"""Conv and eval-BN kernels against loop and formula oracles: exact values,
+adjointness, fresh output, the cached patch index."""
 
 import itertools
 
@@ -86,3 +87,49 @@ def test_backward_input_matches_conv2d_backward(case):
     dy = rng.standard_normal(y.shape)
     dx, _, _ = kernels.conv2d_backward(dy, k, cache)
     assert np.array_equal(kernels.conv2d_backward_input(dy, k, shape, stride, padding), dx)
+
+
+def test_im2col_of_non_contiguous_input(case):
+    rng, (n, c, h, w), geom = case
+    x = rng.standard_normal((w, h, c, n)).transpose(3, 2, 1, 0)
+    assert not x.flags.c_contiguous
+    assert np.array_equal(kernels.im2col(x, *geom), loop_im2col(x, *geom))
+
+
+def test_conv2d_forward_is_one_gemm_plus_bias(case):
+    rng, shape, (kh, kw, stride, padding) = case
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    b = rng.standard_normal(2)
+    y, _ = kernels.conv2d_forward(x, k, b, stride, padding)
+    oh, ow = kernels.conv_output_hw(H, W, kh, kw, stride, padding)
+    rows = loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T + b
+    assert np.array_equal(y, rows.reshape(shape[0], oh, ow, 2).transpose(0, 3, 1, 2))
+
+
+def test_patch_index_is_cached_and_read_only():
+    x = np.random.default_rng(0).standard_normal((2, 3, 7, 6))
+    kernels.im2col(x, 3, 3, 2, 1)
+    hits = kernels._patch_index.cache_info().hits
+    kernels.im2col(x[:1], 3, 3, 2, 1)
+    assert kernels._patch_index.cache_info().hits == hits + 1
+    idx = kernels._patch_index(3, 9, 8, 3, 3, 2)
+    assert idx is kernels._patch_index(3, 9, 8, 3, 3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 0
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6, 5)])
+@pytest.mark.parametrize("noise", [None, (1.3, -0.2)])
+def test_batchnorm_eval_matches_formula(shape, noise):
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape)
+    mean, gamma, beta = rng.standard_normal((3, 4))
+    var = rng.random(4) + 0.1
+    ex = (slice(None),) + (None,) * (len(shape) - 2)
+    xhat = (x - mean[ex]) / np.sqrt(var + 1e-5)[ex]
+    if noise is not None:
+        xhat = xhat * noise[0] + noise[1]
+    want = xhat * gamma[ex] + beta[ex]
+    got = kernels.batchnorm_eval_forward(x, mean, var, gamma, beta, 1e-5, noise=noise)
+    assert np.array_equal(got, want)

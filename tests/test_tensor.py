@@ -63,6 +63,19 @@ class TestTensorType:
         with pytest.raises(AttributeError):
             t.data = np.zeros(1)
 
+    def test_data_is_read_only(self):
+        t = Tensor(np.arange(3.0))
+        with pytest.raises(ValueError, match="read-only"):
+            t.data[0] = 7.0
+        assert t.data.tolist() == [0.0, 1.0, 2.0]
+
+    def test_caller_array_stays_writable(self):
+        arr = np.arange(3.0)
+        t = Tensor(arr)
+        assert arr.flags.writeable
+        arr[0] = 7.0
+        assert arr[0] == 7.0 and not t.data.flags.writeable
+
 
 class TestConv2d:
     def test_identity_kernel(self):
