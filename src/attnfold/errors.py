@@ -38,12 +38,17 @@ def require_keys(d, keys: tuple[str, ...], what: str) -> None:
         raise FormatError(f"{what} is missing key {missing[0]!r}")
 
 
-_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 
 
 def require_types(d: dict, types: dict[str, type], what: str) -> None:
-    """Raise FormatError unless each key in `types` holds a value of that type."""
+    """Raise FormatError unless each key in `types` holds a value of that type.
+
+    JSON `true`/`false` load as bools, which Python counts as ints; an int
+    key rejects them.
+    """
     for key, kind in types.items():
-        if not isinstance(d[key], kind):
+        value = d[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise FormatError(f"{what} key {key!r} must be a JSON {_JSON_NAMES[kind]}, "
-                              f"got {type(d[key]).__name__}")
+                              f"got {type(value).__name__}")

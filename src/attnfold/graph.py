@@ -11,10 +11,11 @@ import numpy as np
 from .attention import AsrSlot, AttnModule, init_attention_params
 from .errors import GraphError, require_keys, require_types
 
-# Layer kind -> the attrs its nodes must carry.
-LAYER_ATTRS = {"input": (), "conv": ("in_ch", "out_ch", "kh", "kw", "stride", "padding"),
-               "bn": ("channels",), "relu": (), "linear": ("in_dim", "out_dim"),
-               "gap": (), "maxpool2": (), "add": (), "asr": ("slot",), "attn": ("module",)}
+# Layer kind -> the attrs its nodes must carry, with their JSON types.
+LAYER_ATTRS = {"input": {}, "relu": {}, "gap": {}, "maxpool2": {}, "add": {},
+               "conv": dict.fromkeys(("in_ch", "out_ch", "kh", "kw", "stride", "padding"), int),
+               "bn": {"channels": int}, "linear": {"in_dim": int, "out_dim": int},
+               "asr": {"slot": str}, "attn": {"module": str}}
 LAYER_KINDS = tuple(LAYER_ATTRS)
 
 BN_MOMENTUM = 0.9  # running <- momentum*running + (1-momentum)*batch
@@ -37,8 +38,10 @@ class LayerNode:
         require_keys(d, ("name", "kind", "inputs", "attrs"), "graph node")
         require_types(d, {"name": str, "kind": str, "inputs": list, "attrs": dict},
                       "graph node")
-        require_keys(d["attrs"], LAYER_ATTRS.get(d["kind"], ()),
-                     f"attrs of {d['kind']} node {d['name']!r}")
+        attrs = LAYER_ATTRS.get(d["kind"], {})
+        what = f"attrs of {d['kind']} node {d['name']!r}"
+        require_keys(d["attrs"], tuple(attrs), what)
+        require_types(d["attrs"], attrs, what)
         return cls(name=d["name"], kind=d["kind"],
                    inputs=list(d["inputs"]), attrs=dict(d["attrs"]))
 
@@ -77,7 +80,9 @@ class ModelGraph:
         require_keys(d, ("nodes", "slots", "modules", "input_shape", "classes", "meta"),
                      "graph")
         require_types(d, {"nodes": list, "slots": dict, "modules": dict,
-                          "input_shape": list, "meta": dict}, "graph")
+                          "input_shape": list, "classes": int, "meta": dict}, "graph")
+        dims = {f"input_shape[{i}]": v for i, v in enumerate(d["input_shape"])}
+        require_types(dims, dict.fromkeys(dims, int), "graph")
         g = cls(nodes=[LayerNode.from_dict(n) for n in d["nodes"]],
                 slots={k: AsrSlot.from_dict(s) for k, s in d["slots"].items()},
                 modules={k: AttnModule.from_dict(m) for k, m in d["modules"].items()},

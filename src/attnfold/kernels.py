@@ -66,15 +66,16 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major.
 
     Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
-    ordered (c, i, j) like `k.reshape(o, -1)`. This layout and the three
-    GEMMs on it (`cols @ k.T` forward, `dy.T @ cols` and `dy @ k` backward)
-    are the conv contract: a faster fill or drain must keep every patch
-    value, GEMM operand and addition order, so that conv outputs and
-    gradients stay bit-identical (the finite-difference gradient check is
-    sensitive to one ulp of the loss). The matrix is filled by one
-    bounds-checked `take` of each padded sample through a flat index that
-    is built once per geometry (`_patch_index`, an LRU cache); the result
-    is always a fresh, writable array.
+    ordered (c, i, j) like `k.reshape(o, -1)`. This layout and the GEMMs
+    on it (`cols @ k.T` forward, `dy.T @ cols` for dk) are the conv
+    contract: a faster fill must keep every patch value, GEMM operand and
+    addition order, so that conv outputs and dk stay bit-identical (the
+    finite-difference gradient check is sensitive to one ulp of the loss).
+    The input gradient `dy @ k` is formed per sample inside `col2im`,
+    where it may differ from the one-GEMM form by rounding. The matrix is
+    filled by one bounds-checked `take` of each padded sample through a
+    flat index that is built once per geometry (`_patch_index`, an LRU
+    cache); the result is always a fresh, writable array.
     """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
@@ -87,20 +88,36 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
-           stride: int, padding: int) -> np.ndarray:
+           stride: int, padding: int, k: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of im2col: scatter-add patches back to [N,C,H,W].
 
-    Each sample's rows are transposed once into a reused tap-major buffer,
-    then the taps are added in (i, j) order, so every pixel sums its
-    contributions in the same order as a tap-by-tap scatter over the batch.
+    Without `k`, `cols` is the [N*OH*OW, C*kh*kw] patch matrix; each
+    sample's rows are transposed once into a reused tap-major buffer. With
+    kernels `k` [O,C,kh,kw], `cols` holds the dL/dy rows [N*OH*OW, O] and
+    each sample's taps are formed by one GEMM written straight into that
+    buffer, `k.reshape(O, -1).T @ rows.T`, so the full patch-sized product
+    `rows @ k.reshape(O, -1)` is never built. Either way the taps are then
+    added in (i, j) order, so every pixel sums its contributions in the
+    same order as a tap-by-tap scatter over the batch. The `k` form's taps
+    equal the product's entries up to rounding only: the GEMM runs with
+    its operands swapped, so BLAS may pick another kernel for the same
+    O-term dot products.
     """
     n, c, h, w = x_shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw)
     taps = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
+    if k is None:
+        cols = cols.reshape(n, oh, ow, c, kh, kw)
+    else:
+        rows = cols.reshape(n, oh * ow, k.shape[0])
+        k2t = k.reshape(k.shape[0], -1).T
+        tap_rows = taps.reshape(c * kh * kw, oh * ow)
     img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
     for s in range(n):
-        taps[...] = cols[s].transpose(2, 3, 4, 0, 1)
+        if k is None:
+            taps[...] = cols[s].transpose(2, 3, 4, 0, 1)
+        else:
+            np.matmul(k2t, rows[s].T, out=tap_rows)
         for i in range(kh):
             i_max = i + stride * oh
             for j in range(kw):
@@ -118,8 +135,15 @@ def _output_rows(y: np.ndarray) -> np.ndarray:
 
 def _input_grad(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
                 stride: int, padding: int) -> np.ndarray:
-    o, _, kh, kw = k.shape
-    return col2im(dy_rows @ k.reshape(o, -1), x_shape, kh, kw, stride, padding)
+    """dL/dx from the dL/dy rows [N*OH*OW, O] and kernels k [O,C,kh,kw].
+
+    The GEMM `dy_rows @ k.reshape(O, -1)` is fused into col2im's per-sample
+    loop (its `k` form), so no [N*OH*OW, C*kh*kw] matrix is allocated. The
+    forward pass is untouched and stays bit-identical; dx may differ from
+    the one-GEMM form by rounding only (a few ulps of max |dx|).
+    """
+    _, _, kh, kw = k.shape
+    return col2im(dy_rows, x_shape, kh, kw, stride, padding, k=k)
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray,

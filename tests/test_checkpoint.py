@@ -1,12 +1,19 @@
 """checkpoint container: bitwise round-trips, manifest validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from attnfold import (AttachSpec, AttentionKind, FormatError, LayerNode, ModelGraph,
                       build_toy_resnet, init_params, load_checkpoint, save_checkpoint)
+
+
+NODE_ATTRS = [
+    ("conv", {"in_ch": 1, "out_ch": 1, "kh": 1, "kw": 1, "stride": 1, "padding": 0}),
+    ("bn", {"channels": 1}), ("linear", {"in_dim": 1, "out_dim": 1}),
+    ("asr", {"slot": "s"}), ("attn", {"module": "m"})]
 
 
 @pytest.fixture
@@ -254,3 +261,40 @@ class TestGraphSchema:
         d[key] = value
         with pytest.raises(FormatError, match=f"graph node key {key!r}"):
             LayerNode.from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("classes", "x"), ("classes", 3.5), ("classes", True), ("classes", None),
+        ("input_shape", "6"), ("input_shape", 6.0), ("input_shape", False)])
+    def test_model_graph_scalar_of_wrong_type(self, model, key, value):
+        g, _ = model
+        d = g.to_dict()
+        if key == "classes":
+            d[key] = value
+        else:
+            d[key][1] = value
+            key = "input_shape[1]"
+        with pytest.raises(FormatError, match=re.escape(f"graph key {key!r}")):
+            ModelGraph.from_dict(d)
+
+    @pytest.mark.parametrize("kind,attrs", NODE_ATTRS)
+    def test_layer_node_attr_of_wrong_type(self, kind, attrs):
+        for key, good in attrs.items():
+            bad_values = ("1", 1.0, True, None) if isinstance(good, int) else (1, ["s"], None)
+            for bad in bad_values:
+                d = LayerNode("x", kind, ["input"], {**attrs, key: bad}).to_dict()
+                with pytest.raises(FormatError, match=f"'x'.*{key!r}"):
+                    LayerNode.from_dict(d)
+
+    def test_conv_in_ch_string_at_load(self, model, tmp_path):
+        g, p = model
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+
+        def stringify(d):
+            conv = next(n for n in d["nodes"] if n["name"] == "stem.conv")
+            conv["attrs"]["in_ch"] = str(conv["attrs"]["in_ch"])
+            return d
+
+        rewrite_graph(f, stringify)
+        with pytest.raises(FormatError, match="'stem.conv'.*'in_ch'.*integer"):
+            load_checkpoint(f)

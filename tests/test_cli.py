@@ -228,6 +228,20 @@ class TestCheckpointValidation:
         assert run(["verify", f, f]) == 1
         assert "'nodes' must be a JSON array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["classes", "in_ch"])
+    def test_graph_scalar_of_wrong_type(self, tmp_path, capsys, key):
+        d = build_toy_resnet(1, 4, 3, None, image_size=6).to_dict()
+        if key == "classes":
+            d["classes"] = "x"
+        else:
+            conv = next(n for n in d["nodes"] if n["name"] == "stem.conv")
+            conv["attrs"]["in_ch"] = "3"
+        f = tmp_path / f"str_{key}.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
+                      + b"\npayload 0\n")
+        assert run(["verify", f, f]) == 1
+        assert f"{key!r} must be a JSON integer" in capsys.readouterr().err
+
 
 class TestStripeCommand:
     def test_summaries(self, workspace):

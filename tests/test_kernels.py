@@ -2,6 +2,7 @@
 adjointness, fresh output, the cached patch index."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def loop_col2im(cols, x_shape, kh, kw, stride, padding):
     """Tap-order scatter: every pixel adds its taps in (i, j) order, from 0."""
     n, c, h, w = x_shape
     oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
-    img = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i, j in itertools.product(range(kh), range(kw)):
         for s, ch, r, q in itertools.product(range(n), range(c), range(oh), range(ow)):
             img[s, ch, r * stride + i, q * stride + j] += \
@@ -87,6 +88,39 @@ def test_backward_input_matches_conv2d_backward(case):
     dy = rng.standard_normal(y.shape)
     dx, _, _ = kernels.conv2d_backward(dy, k, cache)
     assert np.array_equal(kernels.conv2d_backward_input(dy, k, shape, stride, padding), dx)
+
+
+def test_backward_input_near_extended_precision_oracle(case):
+    # The fused GEMM may round differently from the one-GEMM form, so hold
+    # dx to a long-double oracle: rounding stays at a few ulps of max |dx|.
+    rng, shape, (kh, kw, stride, padding) = case
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    oh, ow = kernels.conv_output_hw(H, W, kh, kw, stride, padding)
+    dy = rng.standard_normal((shape[0], 2, oh, ow))
+    rows = dy.transpose(0, 2, 3, 1).reshape(-1, 2).astype(np.longdouble)
+    want = loop_col2im(rows @ k.reshape(2, -1).astype(np.longdouble), shape,
+                       kh, kw, stride, padding)
+    dx = kernels.conv2d_backward_input(dy, k, shape, stride, padding)
+    assert np.abs(dx - want).max() <= 1e-14 * np.abs(want).max()
+    again = kernels.conv2d_backward_input(dy, k, shape, stride, padding)
+    assert dx.tobytes() == again.tobytes()
+
+
+def test_conv2d_backward_builds_no_patch_sized_product():
+    # dL/dx is formed per sample inside col2im, so the backward pass never
+    # holds a second [N*OH*OW, C*kh*kw] matrix next to the cached patches.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, 16, 32, 32))
+    k = rng.standard_normal((16, 16, 3, 3))
+    y, cache = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1)
+    dy = rng.standard_normal(y.shape)
+    tracemalloc.start()
+    try:
+        kernels.conv2d_backward(dy, k, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cache["cols"].nbytes
 
 
 def test_im2col_of_non_contiguous_input(case):
