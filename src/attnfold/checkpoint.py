@@ -55,8 +55,9 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
     """Read a checkpoint; every check the kernels rely on happens here.
 
     Raises FormatError for a malformed container, a graph JSON with a missing
-    key, tensors that do not match the graph, a non-finite tensor or a
-    negative BN running variance, naming the offending key or tensor.
+    key or a `classes` other than the output node's last dimension, tensors
+    that do not match the graph, a non-finite tensor or a negative BN running
+    variance, naming the offending key or tensor.
     """
     blob = Path(path).read_bytes()
     graph_dict, entries, payload = _split(blob, str(path))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AsrSlot, AttnModule, init_attention_params
-from .errors import GraphError, require_keys, require_types
+from .errors import FormatError, GraphError, require_keys, require_types
 
 # Layer kind -> the attrs its nodes must carry, with their JSON types.
 LAYER_ATTRS = {"input": {}, "relu": {}, "gap": {}, "maxpool2": {}, "add": {},
@@ -89,6 +89,11 @@ class ModelGraph:
                 input_shape=tuple(d["input_shape"]),
                 classes=d["classes"], meta=dict(d["meta"]))
         validate_graph(g)
+        out = infer_shapes(g)[g.output_name]
+        if g.classes < 1 or out[-1:] != (g.classes,):
+            raise FormatError(f"graph key 'classes' is {g.classes}, but it must be >= 1 "
+                              f"and equal the last dimension of output node "
+                              f"{g.output_name!r} of shape {out}")
         return g
 
 

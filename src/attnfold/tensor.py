@@ -6,6 +6,7 @@ flip). Operations are pure: tensors are immutable values once constructed.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,11 @@ class ConvOperator:
         return dx.reshape(-1)
 
 
+# Exact matrix norms by content digest (see `spectral_norm`), oldest first.
+_MATRIX_NORMS_MAX = 256
+_MATRIX_NORMS: dict[bytes, float] = {}
+
+
 def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
     """Largest singular value ||A||_2 of a linear operator.
 
@@ -216,13 +222,30 @@ def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> flo
     and `seed` apply to that path only. Its estimate approaches the norm from
     below, its error shrinking by (s2/s1)^2 per step, so a near-tied leading
     pair of singular values slows it. Returns 0 for the zero operator.
+
+    Matrix norms are memoised by content: the key is a SHA-256 digest of the
+    dtype, shape and bytes of the matrix, so a repeated call on equal
+    content, whether the same array or a copy, skips the eigen-solve, and a
+    matrix changed in place is solved afresh. A hit returns the float the
+    uncached solve returned, bit for bit. The table keeps no copy of any
+    matrix and holds at most `_MATRIX_NORMS_MAX` entries, dropping the
+    oldest first. Implicit operators are never memoised.
     """
     if iters < 1:
         raise InvariantError(f"iters must be >= 1, got {iters}")
     if isinstance(op, MatrixOperator):
         w = op.w
-        gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
-        return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
+        digest = hashlib.sha256(f"{w.dtype.str}{w.shape}".encode())
+        digest.update(w)
+        key = digest.digest()
+        norm = _MATRIX_NORMS.get(key)
+        if norm is None:
+            gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
+            norm = float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
+            if len(_MATRIX_NORMS) >= _MATRIX_NORMS_MAX:
+                del _MATRIX_NORMS[next(iter(_MATRIX_NORMS))]
+            _MATRIX_NORMS[key] = norm
+        return norm
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.input_size)
     v /= np.linalg.norm(v)

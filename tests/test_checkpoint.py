@@ -262,6 +262,20 @@ class TestGraphSchema:
         with pytest.raises(FormatError, match=f"graph node key {key!r}"):
             LayerNode.from_dict(d)
 
+    @pytest.mark.parametrize("classes", [7, 2, 0, -1])
+    def test_classes_must_match_head(self, model, tmp_path, classes):
+        g, p = model
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+
+        def set_classes(d):
+            d["classes"] = classes
+            return d
+
+        rewrite_graph(f, set_classes)
+        with pytest.raises(FormatError, match="'classes'"):
+            load_checkpoint(f)
+
     @pytest.mark.parametrize("key,value", [
         ("classes", "x"), ("classes", 3.5), ("classes", True), ("classes", None),
         ("input_shape", "6"), ("input_shape", 6.0), ("input_shape", False)])

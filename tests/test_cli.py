@@ -242,6 +242,16 @@ class TestCheckpointValidation:
         assert run(["verify", f, f]) == 1
         assert f"{key!r} must be a JSON integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("classes", [7, -1])
+    def test_classes_disagreeing_with_head(self, tmp_path, capsys, classes):
+        d = build_toy_resnet(1, 4, 3, None, image_size=6).to_dict()
+        d["classes"] = classes
+        f = tmp_path / f"classes_{classes}.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
+                      + b"\npayload 0\n")
+        assert run(["verify", f, f]) == 1
+        assert "'classes'" in capsys.readouterr().err
+
 
 class TestStripeCommand:
     def test_summaries(self, workspace):

@@ -1,8 +1,11 @@
 """tensor-core: kernels against naive loop oracles, plus type invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import attnfold.tensor as tensor_mod
 from attnfold import (ConvSpec, InvariantError, MatrixOperator, ConvOperator,
                       ShapeError, Tensor, batchnorm_infer, channel_mul, conv2d,
                       global_avg_pool, linear, relu, sigmoid, spectral_norm)
@@ -315,6 +318,77 @@ class TestSpectralNormPaths:
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (0, 4), (4, 0)])
     def test_zero_and_empty_matrix(self, shape):
         assert spectral_norm(MatrixOperator(np.zeros(shape))) == 0.0
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An empty norm table for this test, and a count of eigen-solves."""
+        table = {}
+        monkeypatch.setattr(tensor_mod, "_MATRIX_NORMS", table)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solves.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return table, solves
+
+    def test_equal_content_solves_once(self, memo):
+        table, solves = memo
+        w = np.random.default_rng(20).standard_normal((128, 128))
+        norms = {spectral_norm(MatrixOperator(w.copy())) for _ in range(30)}
+        assert len(solves) == 1 and len(table) == 1 and len(norms) == 1
+        assert abs(norms.pop() - svd_norm(w)) <= 1e-12 * svd_norm(w)
+
+    def test_in_place_change_is_solved_afresh(self, memo):
+        _, solves = memo
+        w = np.random.default_rng(21).standard_normal((16, 24))
+        op = MatrixOperator(w)
+        before = spectral_norm(op)
+        w[3, 5] += 10.0
+        after = spectral_norm(op)
+        assert after != before
+        assert abs(after - svd_norm(w)) <= 1e-12 * svd_norm(w)
+        assert len(solves) == 2
+
+    def test_shape_is_part_of_the_key(self, memo):
+        table, _ = memo
+        flat = np.random.default_rng(22).standard_normal(128 * 128)
+        for shape in [(64, 256), (128, 128)]:
+            w = flat.reshape(shape)
+            assert abs(spectral_norm(MatrixOperator(w)) - svd_norm(w)) <= 1e-12 * svd_norm(w)
+        assert len(table) == 2
+        assert len(set(table.values())) == 2
+
+    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (7, 7), (3, 64), (64, 3)])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_cached_equals_fresh(self, memo, shape, transpose):
+        table, solves = memo
+        w = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if transpose:
+            w = w.T
+        fresh = spectral_norm(MatrixOperator(w))
+        cached = spectral_norm(MatrixOperator(w))
+        table.clear()
+        again = spectral_norm(MatrixOperator(np.array(w)))
+        assert len(solves) == 2
+        assert fresh == cached == again
+        assert abs(cached - svd_norm(w)) <= 1e-12 * svd_norm(w)
+
+    def test_table_is_bounded_and_keeps_no_matrix(self, memo):
+        table, _ = memo
+        rng = np.random.default_rng(23)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(300):
+                spectral_norm(MatrixOperator(rng.standard_normal((128, 128))))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(table) == tensor_mod._MATRIX_NORMS_MAX
+        assert held < 100_000
 
     @pytest.mark.parametrize("ksize", [1, 3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
