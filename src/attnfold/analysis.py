@@ -136,7 +136,8 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
     u = rng.standard_normal(x0a.size)
     u /= np.linalg.norm(u)
     x_pair = np.stack([x0a, x0a + eps * u])
-    _, tape = forward(graph, params, x_pair, mode="eval")
+    _, tape = forward(graph, params, x_pair, mode="eval",
+                      keep={b["boundary"] for b in blocks})
     trace = PerturbationTrace(eps=float(np.linalg.norm(eps * u)))
     eps_t = trace.eps
     product = 1.0

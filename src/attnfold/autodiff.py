@@ -1,7 +1,8 @@
 """Reverse-mode differentiation over the fixed layer-node set.
 
 A forward pass in train mode records a tape of per-node caches; backward
-walks it in reverse and accumulates gradients into the ParamSet.
+walks it in reverse and accumulates gradients into the ParamSet. In both
+modes a node's output is released once its last consumer has run.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class TapeNode:
 
 @dataclass
 class Tape:
+    """What a forward pass leaves behind.
+
+    `values` holds the output node's value plus those of the nodes named in
+    `forward(keep=...)`; every other activation was released after its last
+    consumer ran. `entries` (train mode only) holds each node's backward
+    cache, which is all `backward` reads besides the output's shape.
+    """
+
     mode: str
     graph: ModelGraph
     params: ParamSet
@@ -62,6 +71,7 @@ class Tape:
 
 
 def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
+            keep=(),
             record_vectors: dict | None = None,
             record_post: dict | None = None,
             attn_override: dict | None = None,
@@ -69,11 +79,15 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     """Evaluate the graph on a batch x of shape [N, *input_shape].
 
     In train mode BN uses batch statistics and updates the running state;
-    eval mode uses the running state. Optional hooks: `record_vectors` /
-    `record_post` collect per-module attention vectors and post-scaling
-    channel means, `attn_override` replaces named attn modules with fixed
-    vectors, and `bn_noise(name)` injects (scale, shift) noise on the
-    normalized activation of each BN layer (eval only).
+    eval mode uses the running state. Each node's value is dropped as soon
+    as its last consumer has run, so the returned `tape.values` holds only
+    the output and the nodes named in `keep`: a caller that reads an
+    intermediate activation declares it there (an unknown name raises
+    GraphError). Optional hooks: `record_vectors` / `record_post` collect
+    per-module attention vectors and post-scaling channel means,
+    `attn_override` replaces named attn modules with fixed vectors, and
+    `bn_noise(name)` injects (scale, shift) noise on the normalized
+    activation of each BN layer (eval only).
     """
     if mode not in ("train", "eval"):
         raise InvariantError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -81,22 +95,39 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     if xa.shape[1:] != tuple(graph.input_shape):
         raise GraphError(f"input shape {xa.shape[1:]} does not match graph input "
                          f"{tuple(graph.input_shape)}")
-    values: dict[str, np.ndarray] = {graph.nodes[0].name: xa}
+    nodes = graph.nodes
+    last_use: dict[str, int] = {}
+    for pos, node in enumerate(nodes):
+        last_use[node.name] = pos
+        last_use.update(dict.fromkeys(node.inputs, pos))
+    kept = {*keep, graph.output_name}
+    unknown = sorted(kept - last_use.keys())
+    if unknown:
+        raise GraphError(f"keep names unknown node {unknown[0]!r}")
+    release: list[list[str]] = [[] for _ in nodes]
+    for name, pos in last_use.items():
+        if name not in kept:
+            release[pos].append(name)
+    values: dict[str, np.ndarray] = {nodes[0].name: xa}
     entries: list[TapeNode] = []
     train = mode == "train"
-    for node in graph.nodes[1:]:
+    for pos, node in enumerate(nodes[1:], 1):
         ins = [values[i] for i in node.inputs]
         try:
-            out, saved = _node_forward(graph, params, node, ins, train,
-                                       record_vectors, record_post,
-                                       attn_override, bn_noise)
+            values[node.name], saved = _node_forward(graph, params, node, ins, train,
+                                                     record_vectors, record_post,
+                                                     attn_override, bn_noise)
         except GraphError:
             raise
         except ValueError as exc:
             raise GraphError(f"layer {node.name!r}: {exc}") from exc
-        values[node.name] = out
+        for name in release[pos]:
+            values.pop(name, None)
         if train:
             entries.append(TapeNode(node=node, saved=saved))
+        # Drop the locals too, so a released input or an eval-mode cache
+        # does not live on through the next node.
+        del ins, saved
     logits = values[graph.output_name]
     return Tensor._wrap(logits), Tape(mode=mode, graph=graph, params=params,
                                       values=values, entries=entries)

@@ -42,6 +42,8 @@ class LayerNode:
         what = f"attrs of {d['kind']} node {d['name']!r}"
         require_keys(d["attrs"], tuple(attrs), what)
         require_types(d["attrs"], attrs, what)
+        inputs = {f"inputs[{i}]": v for i, v in enumerate(d["inputs"])}
+        require_types(inputs, dict.fromkeys(inputs, str), f"graph node {d['name']!r}")
         return cls(name=d["name"], kind=d["kind"],
                    inputs=list(d["inputs"]), attrs=dict(d["attrs"]))
 
@@ -162,6 +164,10 @@ def _node_output_shape(graph: ModelGraph, node: LayerNode,
             raise GraphError(f"conv {node.name!r} needs a [C,H,W] input, got {s}")
         if s[0] != a["in_ch"]:
             raise GraphError(f"conv {node.name!r} expects {a['in_ch']} channels, got {s[0]}")
+        for key, low in (("stride", 1), ("kh", 1), ("kw", 1), ("padding", 0)):
+            if a[key] < low:
+                raise GraphError(f"conv {node.name!r} attr {key!r} must be >= {low}, "
+                                 f"got {a[key]}")
         oh = (s[1] + 2 * a["padding"] - a["kh"]) // a["stride"] + 1
         ow = (s[2] + 2 * a["padding"] - a["kw"]) // a["stride"] + 1
         if oh < 1 or ow < 1:

@@ -1,6 +1,8 @@
 """autodiff: forward wiring oracles, finite-difference gradient checks,
 cross-entropy against the scalar formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,108 @@ class TestForward:
                                    atol=1e-12)
         np.testing.assert_allclose(params.values["bn.running_var"],
                                    0.9 * 1.0 + 0.1 * var * m / (m - 1), atol=1e-12)
+
+
+def se_resnet(blocks, width, image_size, delta=1):
+    spec = AttachSpec(kind=AttentionKind("se", reduction=2), delta=delta)
+    return build_toy_resnet(blocks, width, 3, spec, image_size=image_size)
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_tape_holds_output_and_keep_only(self, mode):
+        g = se_resnet(1, 4, 6)
+        params = init_params(g, seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 3, 6, 6))
+        _, tape = forward(g, params, x, mode=mode)
+        assert set(tape.values) == {g.output_name}
+        keep = {"input", "stem.relu", "block0.asr0"}
+        logits, tape = forward(g, params, x, mode=mode, keep=keep)
+        assert set(tape.values) == keep | {g.output_name}
+        np.testing.assert_array_equal(tape.values[g.output_name], logits.data)
+        np.testing.assert_array_equal(tape.values["input"], x)
+
+    def test_kept_value_is_the_nodes_output(self):
+        g = se_resnet(1, 4, 6)
+        params = init_params(g, seed=0)
+        x = np.random.default_rng(1).standard_normal((2, 3, 6, 6))
+        _, tape = forward(g, params, x, keep=["gap"])
+        head = LayerNode("head", "linear", ["input"], g.node("head").attrs)
+        head_of_gap = forward(tiny_graph([head], input_shape=(4,), classes=3),
+                              params, tape.values["gap"])[0]
+        np.testing.assert_array_equal(head_of_gap.data, tape.values["head"])
+
+    def test_unknown_keep_name(self):
+        g = se_resnet(1, 4, 6)
+        params = init_params(g, seed=0)
+        with pytest.raises(GraphError, match="'no.such.node'"):
+            forward(g, params, np.zeros((1, 3, 6, 6)), keep=["stem.conv", "no.such.node"])
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_add_reading_one_input_twice(self, mode):
+        nodes = [LayerNode("twice", "add", ["input", "input"]),
+                 LayerNode("head", "linear", ["twice"], {"in_dim": 4, "out_dim": 4})]
+        g = tiny_graph(nodes)
+        params = init_params(g, seed=0)
+        params.values["head.w"] = np.eye(4)
+        params.values["head.b"] = np.zeros(4)
+        x = np.random.default_rng(2).standard_normal((3, 4))
+        logits, tape = forward(g, params, x, mode=mode)
+        np.testing.assert_array_equal(logits.data, 2 * x)
+        assert set(tape.values) == {"head"}
+        if mode == "train":
+            params.zero_grads()
+            backward(tape, np.ones((3, 4)))
+            np.testing.assert_array_equal(params.grads["head.w"],
+                                          np.ones((4, 1)) * (2 * x).sum(axis=0))
+
+    def test_unconsumed_node_is_released(self):
+        nodes = [LayerNode("dead", "relu", ["input"]),
+                 LayerNode("head", "linear", ["input"], {"in_dim": 4, "out_dim": 4})]
+        g = tiny_graph(nodes)
+        _, tape = forward(g, init_params(g, seed=0), np.ones((1, 4)))
+        assert set(tape.values) == {"head"}
+
+    def test_release_changes_no_gradient_or_running_stat(self):
+        g = se_resnet(1, 4, 6)
+        x = np.random.default_rng(3).standard_normal((4, 3, 6, 6))
+        y = np.array([0, 2, 1, 2])
+        results = []
+        for keep in ((), [n.name for n in g.nodes]):
+            params = init_params(g, seed=4)
+            logits, tape = forward(g, params, x, mode="train", keep=keep)
+            _, dlogits = cross_entropy(logits, y)
+            params.zero_grads()
+            backward(tape, dlogits)
+            results.append(({n: v.tobytes() for n, v in params.grads.items()},
+                            {n: v.tobytes() for n, v in params.values.items()
+                             if n.endswith((".running_mean", ".running_var"))},
+                            logits.data.tobytes()))
+        assert len(results[1][0]) == len(params.trainable)
+        assert results[0] == results[1]
+
+    def test_eval_peak_memory_does_not_grow_with_depth(self):
+        # Width-16 SE ResNet with two slots per block, batch 64 at 16x16. When
+        # every activation lived until forward returned, the tracemalloc peak
+        # of one eval forward was 54.6 MB at 2 blocks and 73.5 MB at 3
+        # (numpy 2.4, x allocated before tracing). Releasing each value after
+        # its last consumer gives 27.3 MB at 2, 3 and 4 blocks: one conv's
+        # 18.9 MB patch matrix plus four 2.1 MB activations.
+        x = np.random.default_rng(5).standard_normal((64, 3, 16, 16))
+        peaks = {}
+        for blocks in (3, 4):
+            g = se_resnet(blocks, 16, 16, delta=2)
+            params = init_params(g, seed=6)
+            forward(g, params, x)  # fill the patch-index cache outside the trace
+            tracemalloc.start()
+            try:
+                forward(g, params, x)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] < 73_473_305 / 2
+        activation = 64 * 16 * 16 * 16 * 8
+        assert abs(peaks[4] - peaks[3]) < activation
 
 
 class TestBackwardBasics:

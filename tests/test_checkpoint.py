@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from attnfold import (AttachSpec, AttentionKind, FormatError, LayerNode, ModelGraph,
-                      build_toy_resnet, init_params, load_checkpoint, save_checkpoint)
+from attnfold import (AttachSpec, AttentionKind, FormatError, GraphError, LayerNode,
+                      ModelGraph, build_toy_resnet, init_params, load_checkpoint,
+                      save_checkpoint)
 
 
 NODE_ATTRS = [
@@ -312,3 +313,43 @@ class TestGraphSchema:
         rewrite_graph(f, stringify)
         with pytest.raises(FormatError, match="'stem.conv'.*'in_ch'.*integer"):
             load_checkpoint(f)
+
+    @pytest.mark.parametrize("bad", [[1], {}, 3, None])
+    def test_layer_node_non_string_input(self, bad):
+        d = LayerNode("x", "add", ["a", "b"]).to_dict()
+        d["inputs"][1] = bad
+        with pytest.raises(FormatError,
+                           match=r"'x' key 'inputs\[1\]' must be a JSON string"):
+            LayerNode.from_dict(d)
+
+    @pytest.mark.parametrize("bad", [[1], {}])
+    def test_non_string_input_at_load(self, model, tmp_path, bad):
+        g, p = model
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+
+        def set_input(d):
+            next(n for n in d["nodes"] if n["name"] == "stem.conv")["inputs"] = [bad]
+            return d
+
+        rewrite_graph(f, set_input)
+        with pytest.raises(FormatError, match=r"'stem.conv' key 'inputs\[0\]'"):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("key,value,low", [
+        ("stride", 0, 1), ("stride", -2, 1), ("kh", 0, 1), ("kw", -1, 1),
+        ("padding", -1, 0)])
+    def test_conv_geometry_out_of_range(self, model, key, value, low):
+        g, _ = model
+        d = g.to_dict()
+        next(n for n in d["nodes"] if n["name"] == "stem.conv")["attrs"][key] = value
+        with pytest.raises(GraphError, match=f"conv 'stem.conv' attr {key!r} must be "
+                                             f">= {low}, got {value}"):
+            ModelGraph.from_dict(d)
+
+    def test_conv_geometry_at_bounds_accepted(self, model):
+        g, _ = model
+        d = g.to_dict()
+        conv = next(n for n in d["nodes"] if n["name"] == "stem.conv")
+        conv["attrs"].update(kh=1, kw=1, padding=0)
+        ModelGraph.from_dict(d)

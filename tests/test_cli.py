@@ -58,6 +58,19 @@ def nan_checkpoint_pair(root):
     return clean, bad
 
 
+def se_checkpoint_with_node(root, name, edit):
+    """A seeded SE-slot ResNet checkpoint whose graph node `name` is edited in place."""
+    spec = AttachSpec(kind=AttentionKind("se", reduction=2))
+    g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+    f = root / "edited.ckpt"
+    save_checkpoint(f, g, init_params(g, seed=21))
+    head, graph_line, rest = f.read_bytes().split(b"\n", 2)
+    d = json.loads(graph_line[len(b"graph "):])
+    edit(next(n for n in d["nodes"] if n["name"] == name))
+    f.write_bytes(head + b"\ngraph " + json.dumps(d).encode() + b"\n" + rest)
+    return f
+
+
 def only_run_dir(root):
     dirs = [d for d in root.iterdir() if d.is_dir()]
     assert len(dirs) == 1
@@ -251,6 +264,22 @@ class TestCheckpointValidation:
                       + b"\npayload 0\n")
         assert run(["verify", f, f]) == 1
         assert "'classes'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [[1], {}])
+    def test_non_string_node_input(self, tmp_path, capsys, bad):
+        f = se_checkpoint_with_node(tmp_path, "stem.conv",
+                                    lambda n: n.update(inputs=[bad]))
+        assert run(["verify", f, f]) == 1
+        assert "'stem.conv' key 'inputs[0]' must be a JSON string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,low", [("stride", 0, 1), ("padding", -1, 0),
+                                               ("kh", 0, 1)])
+    def test_conv_geometry_out_of_range(self, tmp_path, capsys, key, value, low):
+        f = se_checkpoint_with_node(tmp_path, "stem.conv",
+                                    lambda n: n["attrs"].update({key: value}))
+        assert run(["verify", f, f]) == 1
+        assert (f"conv 'stem.conv' attr {key!r} must be >= {low}, got {value}"
+                in capsys.readouterr().err)
 
 
 class TestStripeCommand:
