@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvariantError, ShapeError, require_keys
+from .errors import InvariantError, ShapeError, require_keys, require_types
 from .tensor import Tensor, as_array
 
 VARIANTS = ("se", "ie", "srm", "spa", "eca", "cbam", "no_body")
@@ -32,10 +32,12 @@ class AttentionKind:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvariantError(f"unknown attention variant {self.variant!r}")
-        if self.variant == "eca" and self.kernel % 2 == 0:
-            raise InvariantError(f"eca kernel must be odd, got {self.kernel}")
-        if self.variant == "spa" and (not self.levels or any(g < 1 for g in self.levels)):
-            raise InvariantError(f"spa levels must be positive, got {self.levels}")
+        if self.reduction < 1:
+            raise InvariantError(f"reduction must be >= 1, got {self.reduction}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise InvariantError(f"kernel must be odd and >= 1, got {self.kernel}")
+        if not self.levels or any(g < 1 for g in self.levels):
+            raise InvariantError(f"levels must be non-empty and positive, got {self.levels}")
 
     def validate_channels(self, channels: int) -> None:
         if self.variant in ("se", "cbam") and channels % self.reduction != 0:
@@ -83,23 +85,44 @@ class AttentionKind:
     @classmethod
     def from_dict(cls, d: dict) -> "AttentionKind":
         require_keys(d, ("variant", "reduction", "levels", "kernel"), "attention kind")
+        require_types(d, {"variant": str, "reduction": int, "levels": list[int],
+                          "kernel": int}, "attention kind")
         return cls(variant=d["variant"], reduction=d["reduction"],
                    levels=tuple(d["levels"]), kernel=d["kernel"])
+
+
+def init_tensor(role: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Initial value of a tensor from its role: unit scales, zero shifts and
+    statistics, He-normal weights (fan-in: every axis but the first, or the
+    length of a 1-D weight)."""
+    if role in ("gamma", "w_mean", "running_var"):
+        return np.ones(shape)
+    if role in ("beta", "w_std", "b", "running_mean"):
+        return np.zeros(shape)
+    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
 def init_attention_params(kind: AttentionKind, channels: int,
                           rng: np.random.Generator) -> dict[str, np.ndarray]:
     kind.validate_channels(channels)
-    out: dict[str, np.ndarray] = {}
-    for role, shape in kind.param_shapes(channels).items():
-        if role == "gamma" or role == "w_mean":
-            out[role] = np.ones(shape)
-        elif role == "beta" or role == "w_std":
-            out[role] = np.zeros(shape)
-        else:
-            fan_in = shape[-1] if len(shape) > 1 else shape[0]
-            out[role] = rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-    return out
+    return {role: init_tensor(role, shape, rng)
+            for role, shape in kind.param_shapes(channels).items()}
+
+
+# JSON types of the fields a slot and a module share.
+ATTACHMENT_TYPES = {"kind": dict, "channels": int, "position": str, "delta_index": int}
+
+
+def _check_attachment(a) -> None:
+    """Range checks shared by AsrSlot and AttnModule."""
+    if a.channels < 1:
+        raise InvariantError(f"channels must be >= 1, got {a.channels}")
+    if a.position not in POSITIONS:
+        raise InvariantError(f"unknown position tag {a.position!r}")
+    if a.delta_index < 0:
+        raise InvariantError("delta_index must be >= 0")
+    a.kind.validate_channels(a.channels)
 
 
 @dataclass
@@ -116,13 +139,9 @@ class AsrSlot:
     psi_seed: int = 0
 
     def __post_init__(self):
-        if self.position not in POSITIONS:
-            raise InvariantError(f"unknown position tag {self.position!r}")
+        _check_attachment(self)
         if self.psi_mode not in ("learnable", "frozen_constant", "frozen_gaussian"):
             raise InvariantError(f"unknown psi mode {self.psi_mode!r}")
-        if self.delta_index < 0:
-            raise InvariantError("delta_index must be >= 0")
-        self.kind.validate_channels(self.channels)
 
     @property
     def psi_dim(self) -> int:
@@ -160,6 +179,8 @@ class AsrSlot:
     def from_dict(cls, d: dict) -> "AsrSlot":
         require_keys(d, ("slot_id", "kind", "channels", "position", "delta_index",
                          "psi_mode", "psi_init", "psi_seed"), "slot")
+        require_types(d, {**ATTACHMENT_TYPES, "slot_id": str, "psi_mode": str,
+                          "psi_init": float, "psi_seed": int}, f"slot {d['slot_id']!r}")
         return cls(slot_id=d["slot_id"], kind=AttentionKind.from_dict(d["kind"]),
                    channels=d["channels"], position=d["position"],
                    delta_index=d["delta_index"], psi_mode=d["psi_mode"],
@@ -179,7 +200,7 @@ class AttnModule:
     def __post_init__(self):
         if self.kind.variant == "no_body":
             raise InvariantError("the body-less variant has no standard path")
-        self.kind.validate_channels(self.channels)
+        _check_attachment(self)
 
     @property
     def param_names(self) -> dict[str, str]:
@@ -198,6 +219,8 @@ class AttnModule:
     def from_dict(cls, d: dict) -> "AttnModule":
         require_keys(d, ("module_id", "kind", "channels", "position", "delta_index"),
                      "attention module")
+        require_types(d, {**ATTACHMENT_TYPES, "module_id": str},
+                      f"attention module {d['module_id']!r}")
         return cls(module_id=d["module_id"], kind=AttentionKind.from_dict(d["kind"]),
                    channels=d["channels"], position=d["position"],
                    delta_index=d["delta_index"])

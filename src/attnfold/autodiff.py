@@ -173,28 +173,25 @@ def _node_forward(graph, params, node, ins, train, record_vectors, record_post,
     if kind == "asr":
         slot = graph.slots[node.attrs["slot"]]
         y, v, cache = attention.asr_apply_raw(slot, vals, x)
-        if record_vectors is not None:
-            record_vectors[node.name] = np.broadcast_to(v, (x.shape[0], v.shape[0])).copy()
-        if record_post is not None and y.ndim == 4:
-            record_post[node.name] = y.mean(axis=(2, 3))
-        return y, {"cache": cache, "slot": slot}
-    if kind == "attn":
+        saved = {"cache": cache, "slot": slot}
+    elif kind == "attn":
         mod = graph.modules[node.attrs["module"]]
         if attn_override is not None and node.name in attn_override:
-            vbar = attn_override[node.name]
-            y = kernels.channel_scale(x, vbar)
-            v = np.broadcast_to(vbar, (x.shape[0], vbar.shape[0]))
+            v = attn_override[node.name]
+            y = kernels.channel_scale(x, v)
             saved = {"override": True}
         else:
             y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels,
                                                      mod.gather(vals), x)
             saved = {"cache": cache, "module": mod}
-        if record_vectors is not None:
-            record_vectors[node.name] = np.array(v, copy=True)
-        if record_post is not None and y.ndim == 4:
-            record_post[node.name] = y.mean(axis=(2, 3))
-        return y, saved
-    raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
+    else:
+        raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
+    # A slot's vector is one [C] row, a module's is [N, C]; both record as [N, C].
+    if record_vectors is not None:
+        record_vectors[node.name] = np.broadcast_to(v, x.shape[:2]).copy()
+    if record_post is not None and y.ndim == 4:
+        record_post[node.name] = y.mean(axis=(2, 3))
+    return y, saved
 
 
 def backward(tape: Tape, loss_grad) -> ParamSet:

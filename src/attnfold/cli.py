@@ -6,6 +6,7 @@ only the run-directory name carries a timestamp.
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, format_config, parse_config
 from .errors import ConfigError, FormatError, GraphError
 from .fusion import fuse_model, verify_equivalence
-from .graph import ModelGraph, count_params, init_params
+from .graph import ModelGraph, count_params, init_params, remove_node
 from .train import StripeRecord, train
 
 DEFAULT_OUT = "runs"
@@ -250,25 +251,10 @@ def cmd_noise(args) -> int:
 
 def strip_attention(graph: ModelGraph, params):
     """Remove every attention node (slot or standard) for a cost baseline."""
-    import copy
-
     g = copy.deepcopy(graph)
     p = params.copy()
     for node in [n for n in g.nodes if n.kind in ("asr", "attn")]:
-        src = node.inputs[0]
-        g.nodes = [n for n in g.nodes if n.name != node.name]
-        for n in g.nodes:
-            n.inputs = [src if i == node.name else i for i in n.inputs]
-        names = []
-        if node.kind == "asr":
-            slot = g.slots.pop(node.attrs["slot"])
-            names = list(slot.param_names.values()) + [slot.psi_name]
-        else:
-            mod = g.modules.pop(node.attrs["module"])
-            names = list(mod.param_names.values())
-        for name in names:
-            p.values.pop(name, None)
-            p.trainable.discard(name)
+        remove_node(g, p, node.name)
     return g, p
 
 
@@ -450,7 +436,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, FormatError, GraphError, FileNotFoundError, ValueError,
-            RuntimeError) as exc:
+            RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ import numpy as np
 from . import attention
 from .autodiff import ParamSet, forward
 from .errors import FusionError, InvariantError, ShapeError
-from .graph import ModelGraph, validate_graph
+from .graph import ModelGraph, remove_node, validate_graph
 from .tensor import Tensor, as_array
 
 FOLD_INTO_CONV = "into_conv"
@@ -95,6 +95,12 @@ class FusionReport:
         return "\n".join(lines) + "\n"
 
 
+# Foldable layer kind -> (fold kind, fold rule, the parameter roles it rescales).
+FOLDS = {"conv": (FOLD_INTO_CONV, fold_into_conv, ("k", "b")),
+         "bn": (FOLD_INTO_BN, fold_into_bn, ("gamma", "beta")),
+         "linear": (FOLD_INTO_FC, fold_into_fc, ("w", "b"))}
+
+
 def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100,
                seed: int = 0) -> tuple[ModelGraph, ParamSet, FusionReport]:
     """Fold every constant-input slot into its upstream layer.
@@ -117,57 +123,31 @@ def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100
             for i in n.inputs:
                 consumers.setdefault(i, []).append(n.name)
         prev_name = node.name
-        target_name = by_name[node.name].inputs[0]
+        target = by_name[by_name[node.name].inputs[0]]
         through_relu = False
         while True:
-            target = by_name[target_name]
             # scaling the target's output must reach this slot only
-            if consumers.get(target_name, []) != [prev_name]:
+            if consumers.get(target.name, []) != [prev_name]:
                 raise FusionError(
-                    f"slot {slot.slot_id}: layer {target_name!r} feeds "
-                    f"{consumers.get(target_name)}, so the fold would leak "
+                    f"slot {slot.slot_id}: layer {target.name!r} feeds "
+                    f"{consumers.get(target.name)}, so the fold would leak "
                     f"outside the slot's path")
-            if target.kind == "relu":
-                through_relu = True
-                prev_name = target_name
-                target_name = target.inputs[0]
-                continue
-            if target.kind == "conv":
-                k, b = fold_into_conv(p.values[f"{target.name}.k"],
-                                      p.values[f"{target.name}.b"], v)
-                p.values[f"{target.name}.k"] = k.data
-                p.values[f"{target.name}.b"] = b.data
-                kind = FOLD_INTO_CONV
+            if target.kind != "relu":
                 break
-            if target.kind == "bn":
-                gamma, beta = fold_into_bn(p.values[f"{target.name}.gamma"],
-                                           p.values[f"{target.name}.beta"], v)
-                p.values[f"{target.name}.gamma"] = gamma.data
-                p.values[f"{target.name}.beta"] = beta.data
-                kind = FOLD_INTO_BN
-                break
-            if target.kind == "linear":
-                w, b = fold_into_fc(p.values[f"{target.name}.w"],
-                                    p.values[f"{target.name}.b"], v)
-                p.values[f"{target.name}.w"] = w.data
-                p.values[f"{target.name}.b"] = b.data
-                kind = FOLD_INTO_FC
-                break
+            through_relu = True
+            prev_name = target.name
+            target = by_name[target.inputs[0]]
+        if target.kind not in FOLDS:
             raise FusionError(
                 f"slot {slot.slot_id} has no foldable upstream layer: reached "
                 f"{target.kind} node {target.name!r}")
-        # Remove the slot node, rewire consumers, drop its parameters.
-        fused_node = by_name[node.name]
-        src = fused_node.inputs[0]
-        g.nodes = [n for n in g.nodes if n.name != node.name]
-        for n in g.nodes:
-            n.inputs = [src if i == node.name else i for i in n.inputs]
-        for pname in list(slot.param_names.values()) + [slot.psi_name]:
-            p.values.pop(pname, None)
-            p.trainable.discard(pname)
-        del g.slots[slot.slot_id]
+        kind, rule, roles = FOLDS[target.kind]
+        names = [f"{target.name}.{role}" for role in roles]
+        for name, folded in zip(names, rule(*(p.values[n] for n in names), v)):
+            p.values[name] = folded.data
+        remove_node(g, p, node.name)
         report.rows.append(FusionRow(slot_id=slot.slot_id, fold_kind=kind,
-                                     target_layer=target_name,
+                                     target_layer=target.name,
                                      through_relu=through_relu,
                                      vector_norm=float(np.linalg.norm(v))))
     validate_graph(g)

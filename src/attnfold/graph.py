@@ -4,11 +4,11 @@ points, plus shape validation and parameter initialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attention import AsrSlot, AttnModule, init_attention_params
+from .attention import AsrSlot, AttnModule, init_tensor
 from .errors import FormatError, GraphError, require_keys, require_types
 
 # Layer kind -> the attrs its nodes must carry, with their JSON types.
@@ -42,8 +42,7 @@ class LayerNode:
         what = f"attrs of {d['kind']} node {d['name']!r}"
         require_keys(d["attrs"], tuple(attrs), what)
         require_types(d["attrs"], attrs, what)
-        inputs = {f"inputs[{i}]": v for i, v in enumerate(d["inputs"])}
-        require_types(inputs, dict.fromkeys(inputs, str), f"graph node {d['name']!r}")
+        require_types(d, {"inputs": list[str]}, f"graph node {d['name']!r}")
         return cls(name=d["name"], kind=d["kind"],
                    inputs=list(d["inputs"]), attrs=dict(d["attrs"]))
 
@@ -82,9 +81,7 @@ class ModelGraph:
         require_keys(d, ("nodes", "slots", "modules", "input_shape", "classes", "meta"),
                      "graph")
         require_types(d, {"nodes": list, "slots": dict, "modules": dict,
-                          "input_shape": list, "classes": int, "meta": dict}, "graph")
-        dims = {f"input_shape[{i}]": v for i, v in enumerate(d["input_shape"])}
-        require_types(dims, dict.fromkeys(dims, int), "graph")
+                          "input_shape": list[int], "classes": int, "meta": dict}, "graph")
         g = cls(nodes=[LayerNode.from_dict(n) for n in d["nodes"]],
                 slots={k: AsrSlot.from_dict(s) for k, s in d["slots"].items()},
                 modules={k: AttnModule.from_dict(m) for k, m in d["modules"].items()},
@@ -130,6 +127,11 @@ def node_state_shapes(node: LayerNode) -> dict[str, tuple[int, ...]]:
         c = node.attrs["channels"]
         return {f"{node.name}.running_mean": (c,), f"{node.name}.running_var": (c,)}
     return {}
+
+
+def node_tensor_shapes(graph: ModelGraph, node: LayerNode) -> dict[str, tuple[int, ...]]:
+    """Every tensor a node owns: its parameters, then its state."""
+    return {**node_param_shapes(graph, node), **node_state_shapes(node)}
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, tuple[int, ...]]:
@@ -235,6 +237,14 @@ def validate_graph(graph: ModelGraph) -> None:
     if refmods != set(graph.modules):
         raise GraphError(f"module references {sorted(refmods)} do not match "
                          f"declared modules {sorted(graph.modules)}")
+    # Tensor names derive from the ids, so an id must be its key and unique.
+    ids = [(k, s.slot_id) for k, s in graph.slots.items()]
+    for key, ident in ids + [(k, m.module_id) for k, m in graph.modules.items()]:
+        if key != ident:
+            raise GraphError(f"attention entry {key!r} declares id {ident!r}; they must match")
+    if set(graph.slots) & set(graph.modules):
+        raise GraphError(f"ids {sorted(set(graph.slots) & set(graph.modules))} name both "
+                         f"a slot and a module")
 
 
 def all_param_shapes(graph: ModelGraph) -> tuple[dict[str, tuple[int, ...]],
@@ -260,12 +270,7 @@ def count_flops_conv(graph: ModelGraph, input_shape: tuple[int, ...] | None = No
     Attention-body arithmetic is not included; it is O(C^2) against the
     convolutions' O(C^2 * H * W * K^2).
     """
-    if input_shape is not None and tuple(input_shape) != tuple(graph.input_shape):
-        g = ModelGraph(nodes=graph.nodes, slots=graph.slots, modules=graph.modules,
-                       input_shape=tuple(input_shape), classes=graph.classes,
-                       meta=graph.meta)
-    else:
-        g = graph
+    g = graph if input_shape is None else replace(graph, input_shape=tuple(input_shape))
     shapes = infer_shapes(g)
     macs = 0
     for node in g.nodes:
@@ -279,60 +284,45 @@ def count_flops_conv(graph: ModelGraph, input_shape: tuple[int, ...] | None = No
 
 
 def init_params(graph: ModelGraph, seed: int):
-    """Seeded He-style initialization for every parameter the graph declares.
+    """Seeded initialization of every tensor the graph declares, in node order.
 
-    Returns a ParamSet (imported lazily to keep module layering acyclic).
+    Each tensor's value follows from its role (`attention.init_tensor`); a
+    slot's psi follows its psi mode. Returns a ParamSet (imported lazily to
+    keep module layering acyclic).
     """
     from .autodiff import ParamSet
 
     validate_graph(graph)
     rng = np.random.default_rng(seed)
     values: dict[str, np.ndarray] = {}
-    trainable: set[str] = set()
     for node in graph.nodes:
-        a = node.attrs
-        if node.kind == "conv":
-            fan_in = a["in_ch"] * a["kh"] * a["kw"]
-            values[f"{node.name}.k"] = rng.standard_normal(
-                (a["out_ch"], a["in_ch"], a["kh"], a["kw"])) * np.sqrt(2.0 / fan_in)
-            values[f"{node.name}.b"] = np.zeros(a["out_ch"])
-            trainable |= {f"{node.name}.k", f"{node.name}.b"}
-        elif node.kind == "bn":
-            c = a["channels"]
-            values[f"{node.name}.gamma"] = np.ones(c)
-            values[f"{node.name}.beta"] = np.zeros(c)
-            values[f"{node.name}.running_mean"] = np.zeros(c)
-            values[f"{node.name}.running_var"] = np.ones(c)
-            trainable |= {f"{node.name}.gamma", f"{node.name}.beta"}
-        elif node.kind == "linear":
-            values[f"{node.name}.w"] = rng.standard_normal(
-                (a["out_dim"], a["in_dim"])) * np.sqrt(2.0 / a["in_dim"])
-            values[f"{node.name}.b"] = np.zeros(a["out_dim"])
-            trainable |= {f"{node.name}.w", f"{node.name}.b"}
-        elif node.kind == "asr":
-            slot = graph.slots[a["slot"]]
-            for role, arr in init_attention_params(slot.kind, slot.channels, rng).items():
-                name = f"{slot.slot_id}.{role}"
-                values[name] = arr
-                trainable.add(name)
-            values[slot.psi_name] = slot.init_psi()
-            if slot.psi_trainable:
-                trainable.add(slot.psi_name)
-        elif node.kind == "attn":
-            mod = graph.modules[a["module"]]
-            for role, arr in init_attention_params(mod.kind, mod.channels, rng).items():
-                name = f"{mod.module_id}.{role}"
-                values[name] = arr
-                trainable.add(name)
-    return ParamSet(values=values, trainable=trainable)
+        for name, shape in node_tensor_shapes(graph, node).items():
+            role = name.rpartition(".")[2]
+            values[name] = (graph.slots[node.attrs["slot"]].init_psi() if role == "psi"
+                            else init_tensor(role, shape, rng))
+    return ParamSet(values=values, trainable=trainable_names(graph))
+
+
+def remove_node(graph: ModelGraph, params, name: str) -> None:
+    """Delete a single-input node in place: its consumers read its input
+    instead, and the tensors it owns and its slot or module go with it."""
+    node = graph.node(name)
+    if len(node.inputs) != 1:
+        raise GraphError(f"node {name!r} has {len(node.inputs)} inputs; only a "
+                         f"single-input node can be removed")
+    for tensor in node_tensor_shapes(graph, node):
+        params.values.pop(tensor, None)
+        params.trainable.discard(tensor)
+    if node.kind == "asr":
+        del graph.slots[node.attrs["slot"]]
+    elif node.kind == "attn":
+        del graph.modules[node.attrs["module"]]
+    graph.nodes = [n for n in graph.nodes if n is not node]
+    for n in graph.nodes:
+        n.inputs = [node.inputs[0] if i == name else i for i in n.inputs]
 
 
 def trainable_names(graph: ModelGraph) -> set[str]:
     """The parameter names a fresh init would mark trainable."""
-    names: set[str] = set()
-    for node in graph.nodes:
-        names |= set(node_param_shapes(graph, node))
-    for slot in graph.slots.values():
-        if not slot.psi_trainable:
-            names.discard(slot.psi_name)
-    return names
+    frozen = {s.psi_name for s in graph.slots.values() if not s.psi_trainable}
+    return set(all_param_shapes(graph)[0]) - frozen

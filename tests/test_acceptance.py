@@ -337,15 +337,21 @@ def test_c9_bench():
     p = init_params(g, seed=91)
     fused_graph, fused_params, _ = fuse_model(g, p, verify_samples=10, seed=92)
     base_graph, base_params = strip_attention(g, p)
+    # Fused and baseline must be the same model: equal graph JSON, parameter
+    # names, shapes and trainable set. That is exact, so they are compared
+    # as data; timing one against the other would measure only host noise.
+    same = (fused_graph.to_dict() == base_graph.to_dict()
+            and {n: a.shape for n, a in fused_params.values.items()}
+            == {n: a.shape for n, a in base_params.values.items()}
+            and fused_params.trainable == base_params.trainable)
     # small enough that single forwards fit inside clean scheduler windows
     shape = (8, 3, 16, 16)
-    variants = {"unfused": (g, p), "fused": (fused_graph, fused_params),
-                "baseline": (base_graph, base_params)}
+    variants = {"unfused": (g, p), "fused": (fused_graph, fused_params)}
     # The sandbox throttles the CPU in multi-second bursts, so wall-clock
     # medians are unusable. Contention only ever adds time: best-case
     # throughput over interleaved single-forward samples estimates true cost.
     # Samples accumulate across attempts (order rotated to break phase
-    # alignment) until every variant has seen a clean window.
+    # alignment) until both variants have seen a clean window.
     order = list(variants)
     rates = {name: [] for name in variants}
     sizes = {}
@@ -360,14 +366,11 @@ def test_c9_bench():
                 sizes[name] = res
             order = order[1:] + order[:1]
         best = {name: max(vals) for name, vals in rates.items()}
-        thr_ok = (best["fused"] >= 0.98 * best["unfused"]
-                  and best["fused"] >= 0.98 * best["baseline"])
+        thr_ok = best["fused"] >= 0.98 * best["unfused"]
         if thr_ok:
             break
-    parity = (sizes["fused"].param_count == sizes["baseline"].param_count
-              and sizes["fused"].macs == sizes["baseline"].macs)
-    ok = parity and thr_ok
+    ok = same and thr_ok
     report(9, ok, f"best-case throughput fused {best['fused']:.0f}/s vs unfused "
-                  f"{best['unfused']:.0f}/s vs baseline {best['baseline']:.0f}/s; "
-                  f"params fused={sizes['fused'].param_count} "
-                  f"baseline={sizes['baseline'].param_count}", t0)
+                  f"{best['unfused']:.0f}/s; fused graph and parameter shapes "
+                  f"{'equal' if same else 'differ from'} the baseline's; "
+                  f"params fused={sizes['fused'].param_count}", t0)

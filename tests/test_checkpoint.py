@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from attnfold import (AttachSpec, AttentionKind, FormatError, GraphError, LayerNode,
-                      ModelGraph, build_toy_resnet, init_params, load_checkpoint,
+from attnfold import (AttachSpec, AttentionKind, FormatError, GraphError, InvariantError,
+                      LayerNode, ModelGraph, build_toy_resnet, init_params, load_checkpoint,
                       save_checkpoint)
 
 
@@ -353,3 +353,80 @@ class TestGraphSchema:
         conv = next(n for n in d["nodes"] if n["name"] == "stem.conv")
         conv["attrs"].update(kh=1, kw=1, padding=0)
         ModelGraph.from_dict(d)
+
+    # Slot, module and attention-kind fields: (mode, field path, bad value).
+    WRONG_TYPE = [
+        ("asr", ("channels",), "4"), ("asr", ("channels",), True),
+        ("asr", ("delta_index",), None), ("asr", ("slot_id",), 3),
+        ("asr", ("position",), []), ("asr", ("psi_mode",), 1),
+        ("asr", ("psi_init",), "0.1"), ("asr", ("psi_init",), False),
+        ("asr", ("psi_seed",), 1.5), ("asr", ("kind",), []),
+        ("asr", ("kind", "variant"), 1), ("asr", ("kind", "reduction"), "x"),
+        ("asr", ("kind", "kernel"), {}), ("asr", ("kind", "levels"), 2),
+        ("asr", ("kind", "levels", 0), "x"), ("asr", ("kind", "levels", 1), [1, 2]),
+        ("standard", ("channels",), [1, 2]), ("standard", ("channels",), 4.0),
+        ("standard", ("delta_index",), "0"), ("standard", ("module_id",), None),
+        ("standard", ("kind", "reduction"), None)]
+
+    @staticmethod
+    def attention_entry(mode):
+        spec = AttachSpec(kind=AttentionKind("se", reduction=2), mode=mode)
+        d = build_toy_resnet(1, 4, 3, spec, image_size=6).to_dict()
+        return d, next(iter(d["slots" if mode == "asr" else "modules"].values()))
+
+    @pytest.mark.parametrize("mode,path,value", WRONG_TYPE)
+    def test_attention_field_of_wrong_type(self, mode, path, value):
+        d, entry = self.attention_entry(mode)
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        key = path[-1] if len(path) < 3 else f"levels[{path[-1]}]"
+        with pytest.raises(FormatError, match=re.escape(f"key {key!r} must be a JSON")):
+            ModelGraph.from_dict(d)
+
+    @pytest.mark.parametrize("mode,path,value,message", [
+        ("asr", ("channels",), 0, "channels must be >= 1, got 0"),
+        ("standard", ("channels",), -4, "channels must be >= 1, got -4"),
+        ("standard", ("delta_index",), -1, "delta_index must be >= 0"),
+        ("standard", ("position",), "x", "unknown position tag 'x'"),
+        ("asr", ("kind", "reduction"), 0, "reduction must be >= 1, got 0"),
+        ("asr", ("kind", "kernel"), 4, "kernel must be odd and >= 1, got 4"),
+        ("asr", ("kind", "kernel"), -1, "kernel must be odd and >= 1, got -1"),
+        ("standard", ("kind", "levels"), [], "levels must be non-empty"),
+        ("asr", ("kind", "levels"), [1, 0], "levels must be non-empty and positive")])
+    def test_attention_field_out_of_range(self, mode, path, value, message):
+        d, entry = self.attention_entry(mode)
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            ModelGraph.from_dict(d)
+
+    def test_attention_fields_at_bounds_accepted(self):
+        for mode in ("asr", "standard"):
+            d, entry = self.attention_entry(mode)
+            entry["delta_index"] = 0
+            entry["kind"].update(kernel=1, levels=[1])
+            if mode == "asr":
+                entry["psi_init"] = 1  # an integer is a JSON number
+            ModelGraph.from_dict(d)
+
+    @pytest.mark.parametrize("mode", ["asr", "standard"])
+    def test_attention_id_must_equal_key(self, mode):
+        d, entry = self.attention_entry(mode)
+        entry["slot_id" if mode == "asr" else "module_id"] = "other"
+        with pytest.raises(GraphError, match="declares id 'other'; they must match"):
+            ModelGraph.from_dict(d)
+
+    def test_slot_and_module_sharing_an_id(self):
+        d, slot = self.attention_entry("asr")
+        std, module = self.attention_entry("standard")
+        attn = next(n for n in std["nodes"] if n["kind"] == "attn")
+        attn.update(name="extra.attn", inputs=["block0.asr0"])
+        add = next(n for n in d["nodes"] if n["kind"] == "add")
+        add["inputs"][1] = "extra.attn"
+        d["nodes"].insert(d["nodes"].index(add), attn)
+        d["modules"] = {slot["slot_id"]: {**module, "module_id": slot["slot_id"]}}
+        attn["attrs"]["module"] = slot["slot_id"]
+        with pytest.raises(GraphError, match="name both a slot and a module"):
+            ModelGraph.from_dict(d)

@@ -7,6 +7,7 @@ import pytest
 
 from attnfold import (AttachSpec, AttentionKind, build_toy_resnet, init_params,
                       load_checkpoint, save_checkpoint)
+from attnfold import cli
 from attnfold.cli import main
 
 CFG = """
@@ -68,6 +69,22 @@ def se_checkpoint_with_node(root, name, edit):
     d = json.loads(graph_line[len(b"graph "):])
     edit(next(n for n in d["nodes"] if n["name"] == name))
     f.write_bytes(head + b"\ngraph " + json.dumps(d).encode() + b"\n" + rest)
+    return f
+
+
+def reference_checkpoint(root, variant, mode, seed=21):
+    """A seeded width-4 ResNet checkpoint with one attention node; returns the
+    path, the manifest header, the graph dict and the rest of the file."""
+    spec = AttachSpec(kind=AttentionKind(variant, reduction=2), mode=mode)
+    g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+    f = root / f"{variant}_{mode}.ckpt"
+    save_checkpoint(f, g, init_params(g, seed=seed))
+    head, graph_line, rest = f.read_bytes().split(b"\n", 2)
+    return f, head, json.loads(graph_line[len(b"graph "):]), rest
+
+
+def write_graph(f, head, graph, rest):
+    f.write_bytes(head + b"\ngraph " + json.dumps(graph).encode() + b"\n" + rest)
     return f
 
 
@@ -280,6 +297,86 @@ class TestCheckpointValidation:
         assert run(["verify", f, f]) == 1
         assert (f"conv 'stem.conv' attr {key!r} must be >= {low}, got {value}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("table,path,value,message", [
+        ("slots", ("kind", "reduction"), 0, "reduction must be >= 1, got 0"),
+        ("slots", ("channels",), "x", "key 'channels' must be a JSON integer"),
+        ("slots", ("delta_index",), [], "key 'delta_index' must be a JSON integer"),
+        ("slots", ("kind", "levels", 0), None, "key 'levels[0]' must be a JSON integer"),
+        ("modules", ("channels",), {}, "key 'channels' must be a JSON integer"),
+        ("modules", ("kind", "kernel"), "3", "key 'kernel' must be a JSON integer")])
+    def test_attention_field_rejected(self, tmp_path, capsys, table, path, value, message):
+        f, head, d, rest = reference_checkpoint(
+            tmp_path, "se", "asr" if table == "slots" else "standard")
+        entry = next(iter(d[table].values()))
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        write_graph(f, head, d, rest)
+        assert run(["verify", f, f, "--n", 2]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_two_slots_sharing_an_id(self, tmp_path, capsys):
+        # Both slots would own the same tensors; fuse escaped with a KeyError
+        # after removing the first.
+        spec = AttachSpec(kind=AttentionKind("se", reduction=2), delta=2)
+        g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+        p = init_params(g, seed=21)
+        g.slots["block0.asr1"].slot_id = "block0.asr0"
+        for name in [n for n in p.values if n.startswith("block0.asr1.")]:
+            del p.values[name]
+        f = tmp_path / "dup.ckpt"
+        save_checkpoint(f, g, p)
+        assert run(["fuse", f, tmp_path / "fused.ckpt", "--n", 2]) == 1
+        assert "'block0.asr1' declares id 'block0.asr0'" in capsys.readouterr().err
+
+    def test_unallocatable_input_is_an_error_line(self, tmp_path, capsys):
+        # 2**40 columns cannot be allocated on any host, so verify fails
+        # when it builds its inputs rather than at load.
+        f, head, d, rest = reference_checkpoint(tmp_path, "se", "asr")
+        d["input_shape"][2] = 2 ** 40
+        write_graph(f, head, d, rest)
+        assert run(["verify", f, f, "--n", 2]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+LEAF_VALUES = [0, -1, 2 ** 40, 1.5, "x", None, [], {}, True, [1, 2]]
+
+
+def graph_leaves(obj, path=()):
+    """Paths to every scalar or empty container in a JSON value."""
+    if isinstance(obj, (dict, list)) and obj:
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from graph_leaves(value, path + (key,))
+    else:
+        yield path
+
+
+class TestLeafWalk:
+    """Every graph-JSON leaf of a reference checkpoint, replaced by each value
+    in LEAF_VALUES, must make `attnfold verify` exit 0 or 1: no traceback. The
+    only large value, 2**40, fails at allocation wherever it gets that far."""
+
+    @pytest.mark.parametrize("variant,mode", [("se", "asr"), ("cbam", "standard")])
+    def test_no_escape(self, tmp_path, monkeypatch, capsys, variant, mode):
+        parser = cli.build_parser()  # argparse setup would dominate the walk
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        _, head, d, rest = reference_checkpoint(tmp_path, variant, mode)
+        f = tmp_path / "mutant.ckpt"
+        codes = set()
+        for path in graph_leaves(d):
+            for value in LEAF_VALUES:
+                m = json.loads(json.dumps(d))
+                entry = m
+                for key in path[:-1]:
+                    entry = entry[key]
+                entry[path[-1]] = value
+                write_graph(f, head, m, rest)
+                code = main(["verify", str(f), str(f), "--n", "2"])
+                assert code in (0, 1), (path, value)
+                codes.add(code)
+        capsys.readouterr()
+        assert codes == {0, 1}
 
 
 class TestStripeCommand:
