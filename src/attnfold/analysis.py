@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import attention
 from .autodiff import ParamSet, forward
 from .backbones import chain_blocks
 from .data import Dataset
@@ -120,10 +119,11 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
     """Evaluate clean and perturbed trajectories through a residual chain.
 
     eps_t is the Euclidean norm of the difference at each block boundary;
-    alpha_t is the max element of the block's constant vector (1 when the
-    block has no slot); ||W_t||_2 is computed exactly (`spectral_norm` of an
-    explicit matrix), so each factor 1 + alpha_t ||W_t||_2 is an upper bound
-    on the block's amplification up to rounding.
+    alpha_t is the max element of the constant vector the forward pass
+    applied in the block (1 when the block has no slot); ||W_t||_2 is
+    computed exactly (`spectral_norm` of an explicit matrix), so each factor
+    1 + alpha_t ||W_t||_2 is an upper bound on the block's amplification up
+    to rounding.
     """
     if eps <= 0:
         raise InvariantError(f"eps must be positive, got {eps}")
@@ -136,8 +136,9 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
     u = rng.standard_normal(x0a.size)
     u /= np.linalg.norm(u)
     x_pair = np.stack([x0a, x0a + eps * u])
+    vectors: dict[str, np.ndarray] = {}
     _, tape = forward(graph, params, x_pair, mode="eval",
-                      keep={b["boundary"] for b in blocks})
+                      keep={b["boundary"] for b in blocks}, record_vectors=vectors)
     trace = PerturbationTrace(eps=float(np.linalg.norm(eps * u)))
     eps_t = trace.eps
     product = 1.0
@@ -145,8 +146,8 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
         boundary = tape.values[block["boundary"]]
         eps_next = float(np.linalg.norm(boundary[1] - boundary[0]))
         if block["slot"] is not None:
-            v, _ = attention.asr_vector_raw(block["slot"], params.values)
-            alpha = float(v.max())
+            # The vector the forward pass applied; a slot's node is named by its id.
+            alpha = float(vectors[block["slot"].slot_id][0].max())
             if not 0.0 < alpha < 1.0:
                 raise InvariantError(f"block {block['index']}: alpha {alpha} outside (0,1)")
         else:

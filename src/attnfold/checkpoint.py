@@ -54,6 +54,12 @@ def save_checkpoint(path, graph: ModelGraph, params: ParamSet) -> None:
 def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
     """Read a checkpoint; every check the kernels rely on happens here.
 
+    On a little-endian host each returned tensor is a read-only view into
+    one immutable `bytes` holding the payload, not a copy: numpy refuses both
+    in-place writes and `flags.writeable = True` on it, so the checks below
+    hold for as long as the `ParamSet` lives. `ParamSet.copy()` gives
+    writable arrays.
+
     Raises FormatError for a malformed container, a graph JSON with a missing
     key or a `classes` other than the output node's last dimension, tensors
     that do not match the graph, a non-finite tensor or a negative BN running
@@ -74,10 +80,15 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
         if off < 0 or off + nbytes > len(payload):
             raise FormatError(f"{path}: tensor {name!r} spans [{off}, {off + nbytes}) "
                               f"outside payload of {len(payload)} bytes")
+        if off % 8:
+            # The view would be unaligned, and unaligned operands change rounding.
+            raise FormatError(f"{path}: tensor {name!r} offset {off} is not a "
+                              f"multiple of 8")
         spans.append((off, off + nbytes, name))
         arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)),
                             offset=off).reshape(shape)
-        values[name] = arr.astype(np.float64, copy=True)
+        # A no-op on little-endian hosts; a big-endian one gets a native copy.
+        values[name] = arr.astype(np.float64, copy=False)
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
@@ -137,6 +148,8 @@ def _split(blob: bytes, path: str):
         declared = int(lines[-1].split(" ", 1)[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"{path}: malformed payload line") from exc
+    # A fresh `bytes` starts on an aligned address, so the tensor views are
+    # aligned; at the manifest's length into `blob` they would not be.
     payload = blob[pos:]
     if len(payload) != declared:
         raise FormatError(f"{path}: payload has {len(payload)} bytes, manifest "

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import os
 import sys
 import time
@@ -352,7 +353,10 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `attnfold` argument parser, built once per process: parsing does
+    not change it, and each subcommand's handler is bound when it is built."""
     p = argparse.ArgumentParser(prog="attnfold",
                                 description="train, fold, and analyze constant-input "
                                             "channel attention")

@@ -18,12 +18,11 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign so exp never overflows; clamp to the nearest floats
     # strictly inside (0,1), which the exact function never leaves.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.maximum(out, _SIG_LO, out=out)
+    np.minimum(out, _SIG_HI, out=out)
+    return out
 
 
 def sigmoid_grad(y: np.ndarray) -> np.ndarray:

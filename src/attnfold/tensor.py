@@ -7,6 +7,7 @@ flip). Operations are pure: tensors are immutable values once constructed.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,10 @@ class Tensor:
     """Immutable dense N-dimensional float64 array, row-major.
 
     Construction rejects NaN/Inf. `data` is a read-only view of the backing
-    numpy array; the array passed in keeps its own writeable flag.
+    numpy array; the array passed in keeps its own writeable flag. When that
+    array views an immutable `bytes` object, as every tensor returned by
+    `checkpoint.load_checkpoint` does, nothing can write to the memory at
+    all, and `spectral_norm` keys such a matrix by identity.
     """
 
     __slots__ = ("data",)
@@ -209,6 +213,36 @@ class ConvOperator:
 # Exact matrix norms by content digest (see `spectral_norm`), oldest first.
 _MATRIX_NORMS_MAX = 256
 _MATRIX_NORMS: dict[bytes, float] = {}
+# Content digests of matrices held in immutable `bytes`, keyed by identity:
+# (id of the owning array, data address, shape, strides, dtype) ->
+# (weak reference to the owning array, digest). Oldest first.
+_IMMUTABLE_KEYS_MAX = 256
+_IMMUTABLE_KEYS: dict[tuple, tuple[weakref.ref, bytes]] = {}
+
+
+def _content_key(w: np.ndarray) -> bytes:
+    digest = hashlib.sha256(f"{w.dtype.str}{w.shape}".encode())
+    digest.update(w)
+    return digest.digest()
+
+
+def _matrix_key(w: np.ndarray) -> bytes:
+    """The content digest of w, computed once per matrix held in `bytes`."""
+    owner = w
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if type(owner.base) is not bytes:
+        return _content_key(w)
+    ident = (id(owner), w.__array_interface__["data"][0], w.shape, w.strides, w.dtype.str)
+    entry = _IMMUTABLE_KEYS.get(ident)
+    # A dead or different owner under the same id means the id was recycled.
+    if entry is not None and entry[0]() is owner:
+        return entry[1]
+    key = _content_key(w)
+    if entry is None and len(_IMMUTABLE_KEYS) >= _IMMUTABLE_KEYS_MAX:
+        del _IMMUTABLE_KEYS[next(iter(_IMMUTABLE_KEYS))]
+    _IMMUTABLE_KEYS[ident] = (weakref.ref(owner), key)
+    return key
 
 
 def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
@@ -230,14 +264,19 @@ def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> flo
     uncached solve returned, bit for bit. The table keeps no copy of any
     matrix and holds at most `_MATRIX_NORMS_MAX` entries, dropping the
     oldest first. Implicit operators are never memoised.
+
+    A matrix whose memory belongs to an immutable `bytes` object (every
+    tensor `load_checkpoint` returns) cannot change, so its digest is taken
+    once and found again by identity: the owning array's id and a weak
+    reference to it, the data address, shape, strides and dtype. The weak
+    reference keeps nothing alive, and an id recycled by a new array
+    misses. Every other array is digested on every call.
     """
     if iters < 1:
         raise InvariantError(f"iters must be >= 1, got {iters}")
     if isinstance(op, MatrixOperator):
         w = op.w
-        digest = hashlib.sha256(f"{w.dtype.str}{w.shape}".encode())
-        digest.update(w)
-        key = digest.digest()
+        key = _matrix_key(w)
         norm = _MATRIX_NORMS.get(key)
         if norm is None:
             gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w

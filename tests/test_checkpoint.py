@@ -85,6 +85,38 @@ class TestRoundTrip:
         assert p2.values["head.b"].tobytes() == p.values["head.b"].tobytes()
 
 
+class TestLoadedTensorsAreImmutable:
+    """The load-time checks hold for the life of the loaded ParamSet."""
+
+    @pytest.fixture
+    def saved_and_loaded(self, model, tmp_path):
+        g, p = model
+        save_checkpoint(tmp_path / "m.ckpt", g, p)
+        return p, load_checkpoint(tmp_path / "m.ckpt")[1]
+
+    def test_in_place_write_and_writeable_flag_rejected(self, saved_and_loaded):
+        p, p2 = saved_and_loaded
+        for name, arr in p2.values.items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = np.nan
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            assert arr.tobytes() == p.values[name].tobytes()
+
+    def test_views_are_aligned(self, saved_and_loaded):
+        # Unaligned operands would change numpy's rounding of every kernel.
+        _, p2 = saved_and_loaded
+        assert all(arr.flags.aligned for arr in p2.values.values())
+
+    def test_copy_is_writable(self, saved_and_loaded):
+        p, p2 = saved_and_loaded
+        for name, arr in p2.copy().values.items():
+            arr[(0,) * arr.ndim] = 1.5
+            assert arr[(0,) * arr.ndim] == 1.5
+            assert not p2.values[name].flags.writeable
+            assert p2.values[name].tobytes() == p.values[name].tobytes()
+
+
 class TestManifestValidation:
     def test_bad_tag(self, tmp_path):
         f = tmp_path / "bad.ckpt"
@@ -115,6 +147,22 @@ class TestManifestValidation:
         lines[tensor_lines[1]] = " ".join(parts)
         f.write_bytes(("\n".join(lines) + "\n").encode() + b"payload " + payload)
         with pytest.raises(FormatError, match="overlap"):
+            load_checkpoint(f)
+
+    def test_unaligned_offset(self, model, tmp_path):
+        g, p = model
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+        head, _, payload = f.read_bytes().partition(b"payload ")
+        lines = head.decode().splitlines()
+        last = max(i for i, l in enumerate(lines) if l.startswith("tensor "))
+        parts = lines[last].split(" ")
+        parts[3] = str(int(parts[3]) + 4)   # still inside the payload, overlapping nothing
+        lines[last] = " ".join(parts)
+        size, _, data = payload.partition(b"\n")
+        f.write_bytes(("\n".join(lines) + "\n").encode() + b"payload "
+                      + str(int(size) + 4).encode() + b"\n" + data + bytes(4))
+        with pytest.raises(FormatError, match="not a multiple of 8"):
             load_checkpoint(f)
 
     def test_missing_tensor(self, model, tmp_path):

@@ -167,3 +167,24 @@ def test_batchnorm_eval_matches_formula(shape, noise):
     want = xhat * gamma[ex] + beta[ex]
     got = kernels.batchnorm_eval_forward(x, mean, var, gamma, beta, 1e-5, noise=noise)
     assert np.array_equal(got, want)
+
+
+def masked_sigmoid(x):
+    """The boolean-mask form `kernels.sigmoid` replaced, kept as its oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return np.clip(out, kernels._SIG_LO, kernels._SIG_HI)
+
+
+def test_sigmoid_bytes_equal_masked_form():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7, 37.5, -37.5,
+             709.8, -709.8, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf]
+    grid = np.concatenate([np.array(edges), np.linspace(-800.0, 800.0, 16006),
+                           np.random.default_rng(7).standard_normal(4096) * 20.0])
+    for x in (grid, grid.reshape(-1, 8), np.array(-0.0)):
+        got = kernels.sigmoid(x)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert got.tobytes() == masked_sigmoid(x).tobytes()

@@ -1,5 +1,6 @@
 """tensor-core: kernels against naive loop oracles, plus type invariants."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import attnfold.tensor as tensor_mod
 from attnfold import (ConvSpec, InvariantError, MatrixOperator, ConvOperator,
-                      ShapeError, Tensor, batchnorm_infer, channel_mul, conv2d,
-                      global_avg_pool, linear, relu, sigmoid, spectral_norm)
+                      ShapeError, Tensor, batchnorm_infer, build_residual_chain,
+                      channel_mul, conv2d, global_avg_pool, init_params, linear,
+                      load_checkpoint, relu, save_checkpoint, sigmoid, spectral_norm)
 
 
 def conv2d_loop(x, k, b, stride, pad):
@@ -417,3 +419,52 @@ class TestSpectralNormPaths:
         for a, b in zip(ests, ests[1:]):
             assert b >= a - 1e-12
         assert ests[-1] <= svd_norm(dense_matrix(op)) * (1 + 1e-12)
+
+
+class TestLoadedMatrixMemo:
+    """A matrix loaded from a checkpoint is digested once, then found by identity."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Empty memo tables for this test, and counts of digests and eigen-solves."""
+        monkeypatch.setattr(tensor_mod, "_MATRIX_NORMS", {})
+        monkeypatch.setattr(tensor_mod, "_IMMUTABLE_KEYS", {})
+        digests, solves = [], []
+        sha256, eigvalsh = hashlib.sha256, np.linalg.eigvalsh
+
+        def counting_sha256(*args, **kwargs):
+            digests.append(1)
+            return sha256(*args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            solves.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return digests, solves
+
+    @staticmethod
+    def loaded_chain(path, seed, width=128):
+        g = build_residual_chain(1, width, psi_seed=seed)
+        save_checkpoint(path, g, init_params(g, seed=seed))
+        return load_checkpoint(path)[1].values["block0.lin.w"]
+
+    def test_loaded_matrix_digested_once(self, counts, tmp_path):
+        digests, solves = counts
+        w = self.loaded_chain(tmp_path / "c.ckpt", seed=3)
+        norms = {spectral_norm(MatrixOperator(w)) for _ in range(30)}
+        assert len(digests) == 1 and len(solves) == 1 and len(norms) == 1
+        assert abs(next(iter(norms)) - svd_norm(w)) <= 1e-12 * svd_norm(w)
+        writable = w.copy()
+        copies = {spectral_norm(MatrixOperator(writable)) for _ in range(30)}
+        assert len(digests) == 31 and len(solves) == 1 and copies == norms
+
+    def test_recycled_ids_never_hit(self, tmp_path):
+        # Loading the same-sized file again tends to reuse the dropped arrays'
+        # ids and addresses; only the weak reference tells the new owner apart.
+        for seed in range(50):
+            w = self.loaded_chain(tmp_path / "c.ckpt", seed=seed, width=16)
+            oracle = svd_norm(w)
+            assert abs(spectral_norm(MatrixOperator(w)) - oracle) <= 1e-12 * oracle
+            del w
