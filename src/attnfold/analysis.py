@@ -10,13 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ParamSet, forward
+from .autodiff import ParamSet, forward, recorder
 from .backbones import chain_blocks
 from .data import Dataset
 from .errors import GraphError, InvariantError
 from .graph import ModelGraph, count_flops_conv, count_params
 from .tensor import MatrixOperator, spectral_norm
-from .train import StripeRecord
+from .train import StripeRecord, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
     x_pair = np.stack([x0a, x0a + eps * u])
     vectors: dict[str, np.ndarray] = {}
     _, tape = forward(graph, params, x_pair, mode="eval",
-                      keep={b["boundary"] for b in blocks}, record_vectors=vectors)
+                      keep={b["boundary"] for b in blocks}, hook=recorder(vectors))
     trace = PerturbationTrace(eps=float(np.linalg.norm(eps * u)))
     eps_t = trace.eps
     product = 1.0
@@ -147,7 +147,7 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
         eps_next = float(np.linalg.norm(boundary[1] - boundary[0]))
         if block["slot"] is not None:
             # The vector the forward pass applied; a slot's node is named by its id.
-            alpha = float(vectors[block["slot"].slot_id][0].max())
+            alpha = float(vectors[block["slot"].slot_id].max())
             if not 0.0 < alpha < 1.0:
                 raise InvariantError(f"block {block['index']}: alpha {alpha} outside (0,1)")
         else:
@@ -176,6 +176,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in ("constant", "random"):
             raise InvariantError(f"unknown noise mode {self.mode!r}")
+        if not np.isfinite([self.a, self.b]).all():
+            raise InvariantError(f"noise a and b must be finite, got {self.a}, {self.b}")
         if self.mode == "random" and (self.a < 0 or self.b < 0):
             raise InvariantError("random-noise sigmas must be >= 0")
 
@@ -186,17 +188,6 @@ class NoiseResult:
     mean: float
     std: float
     runs: list[float]
-
-
-def _eval_with_noise(graph, params, dataset, noise_fn, batch_size=64) -> float:
-    n = len(dataset)
-    top1 = 0
-    for start in range(0, n, batch_size):
-        xb = dataset.images[start:start + batch_size]
-        yb = dataset.labels[start:start + batch_size]
-        logits, _ = forward(graph, params, xb, mode="eval", bn_noise=noise_fn)
-        top1 += int((logits.data.argmax(axis=1) == yb).sum())
-    return top1 / n
 
 
 def noise_attack_eval(graph: ModelGraph, params: ParamSet, dataset: Dataset,
@@ -212,19 +203,22 @@ def noise_attack_eval(graph: ModelGraph, params: ParamSet, dataset: Dataset,
         raise GraphError("graph has no BN layers to attack")
     if len(dataset) == 0:
         raise InvariantError("noise-attack dataset is empty")
+    if repeats < 1:
+        raise InvariantError(f"repeats must be >= 1, got {repeats}")
+
+    def top1(draw) -> float:
+        """Accuracy with each BN's (scale, shift) taken from `draw()`."""
+        return evaluate(graph, params, dataset, batch_size=batch_size,
+                        hook=lambda node, m: draw() if node.kind == "bn" else m)[0]
+
     if spec.mode == "constant":
-        acc = _eval_with_noise(graph, params, dataset,
-                               lambda name: (spec.a, spec.b), batch_size)
+        acc = top1(lambda: (spec.a, spec.b))
         return NoiseResult(spec=spec, mean=acc, std=0.0, runs=[acc])
     runs = []
     for r in range(repeats):
         rng = np.random.default_rng((seed, r))
-
-        def noise_fn(name, _rng=rng):
-            return (1.0 + _rng.standard_normal() * spec.a,
-                    _rng.standard_normal() * spec.b)
-
-        runs.append(_eval_with_noise(graph, params, dataset, noise_fn, batch_size))
+        runs.append(top1(lambda: (1.0 + rng.standard_normal() * spec.a,
+                                  rng.standard_normal() * spec.b)))
     arr = np.asarray(runs)
     return NoiseResult(spec=spec, mean=float(arr.mean()), std=float(arr.std()),
                        runs=runs)
@@ -245,23 +239,17 @@ def freeze_attention_eval(graph: ModelGraph, params: ParamSet, calib: Dataset,
         raise InvariantError("calibration dataset is empty")
     sums = {name: None for name in names}
     total = 0
+    vectors: dict[str, np.ndarray] = {}
     for start in range(0, len(calib), batch_size):
         xb = calib.images[start:start + batch_size]
-        vectors: dict[str, np.ndarray] = {}
-        forward(graph, params, xb, mode="eval", record_vectors=vectors)
+        forward(graph, params, xb, mode="eval", hook=recorder(vectors))
         for name in names:
             s = vectors[name].sum(axis=0)
             sums[name] = s if sums[name] is None else sums[name] + s
         total += xb.shape[0]
-    override = {name: sums[name] / total for name in names}
-    n = len(eval_set)
-    top1 = 0
-    for start in range(0, n, batch_size):
-        xb = eval_set.images[start:start + batch_size]
-        yb = eval_set.labels[start:start + batch_size]
-        logits, _ = forward(graph, params, xb, mode="eval", attn_override=override)
-        top1 += int((logits.data.argmax(axis=1) == yb).sum())
-    return top1 / n
+    frozen = {name: sums[name] / total for name in names}
+    return evaluate(graph, params, eval_set, batch_size=batch_size,
+                    hook=lambda node, m: frozen.get(node.name, m))[0]
 
 
 # ---------------------------------------------------------------------------

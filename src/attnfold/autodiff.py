@@ -71,11 +71,7 @@ class Tape:
 
 
 def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
-            keep=(),
-            record_vectors: dict | None = None,
-            record_post: dict | None = None,
-            attn_override: dict | None = None,
-            bn_noise=None) -> tuple[Tensor, Tape]:
+            keep=(), hook=None) -> tuple[Tensor, Tape]:
     """Evaluate the graph on a batch x of shape [N, *input_shape].
 
     In train mode BN uses batch statistics and updates the running state;
@@ -83,11 +79,12 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     as its last consumer has run, so the returned `tape.values` holds only
     the output and the nodes named in `keep`: a caller that reads an
     intermediate activation declares it there (an unknown name raises
-    GraphError). Optional hooks: `record_vectors` / `record_post` collect
-    per-module attention vectors and post-scaling channel means,
-    `attn_override` replaces named attn modules with fixed vectors, and
-    `bn_noise(name)` injects (scale, shift) noise on the normalized
-    activation of each BN layer (eval only).
+    GraphError). `hook(node, m)` (eval mode only; train mode raises
+    InvariantError) sees the modulation a node applies and returns the one
+    to apply: an asr or attn node passes its vector v ([C] for a slot,
+    [N, C] for a module) and a returned object other than v scales x in its
+    place; a bn node passes None, and a returned (scale, shift) maps its
+    normalized activation xhat to xhat * scale + shift.
     """
     if mode not in ("train", "eval"):
         raise InvariantError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -111,12 +108,12 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     values: dict[str, np.ndarray] = {nodes[0].name: xa}
     entries: list[TapeNode] = []
     train = mode == "train"
+    if train and hook is not None:
+        raise InvariantError("a forward hook is eval-only; train mode takes none")
     for pos, node in enumerate(nodes[1:], 1):
         ins = [values[i] for i in node.inputs]
         try:
-            values[node.name], saved = _node_forward(graph, params, node, ins, train,
-                                                     record_vectors, record_post,
-                                                     attn_override, bn_noise)
+            values[node.name], saved = _node_forward(graph, params, node, ins, train, hook)
         except GraphError:
             raise
         except ValueError as exc:
@@ -133,8 +130,7 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
                                       values=values, entries=entries)
 
 
-def _node_forward(graph, params, node, ins, train, record_vectors, record_post,
-                  attn_override, bn_noise):
+def _node_forward(graph, params, node, ins, train, hook):
     kind = node.kind
     x = ins[0]
     vals = params.values
@@ -153,10 +149,9 @@ def _node_forward(graph, params, node, ins, train, record_vectors, record_post,
             vals[rm] = BN_MOMENTUM * vals[rm] + (1 - BN_MOMENTUM) * mean
             vals[rv] = BN_MOMENTUM * vals[rv] + (1 - BN_MOMENTUM) * unbiased
             return y, {"cache": cache}
-        noise = bn_noise(node.name) if bn_noise is not None else None
         y = kernels.batchnorm_eval_forward(
             x, vals[f"{node.name}.running_mean"], vals[f"{node.name}.running_var"],
-            gamma, beta, BN_EPS, noise=noise)
+            gamma, beta, BN_EPS, noise=None if hook is None else hook(node, None))
         return y, {}
     if kind == "relu":
         return kernels.relu(x), {"x": x}
@@ -176,22 +171,25 @@ def _node_forward(graph, params, node, ins, train, record_vectors, record_post,
         saved = {"cache": cache, "slot": slot}
     elif kind == "attn":
         mod = graph.modules[node.attrs["module"]]
-        if attn_override is not None and node.name in attn_override:
-            v = attn_override[node.name]
-            y = kernels.channel_scale(x, v)
-            saved = {"override": True}
-        else:
-            y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels,
-                                                     mod.gather(vals), x)
-            saved = {"cache": cache, "module": mod}
+        y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels,
+                                                 mod.gather(vals), x)
+        saved = {"cache": cache, "module": mod}
     else:
         raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
-    # A slot's vector is one [C] row, a module's is [N, C]; both record as [N, C].
-    if record_vectors is not None:
-        record_vectors[node.name] = np.broadcast_to(v, x.shape[:2]).copy()
-    if record_post is not None and y.ndim == 4:
-        record_post[node.name] = y.mean(axis=(2, 3))
+    if hook is not None:
+        w = hook(node, v)
+        if w is not v:
+            y = kernels.channel_scale(x, w)
     return y, saved
+
+
+def recorder(into: dict):
+    """A hook that stores each asr or attn node's vector in `into` by node name."""
+    def hook(node, m):
+        if m is not None:
+            into[node.name] = m
+        return m
+    return hook
 
 
 def backward(tape: Tape, loss_grad) -> ParamSet:
@@ -248,8 +246,6 @@ def _node_backward(graph, params, node, saved, dy, tape):
         grads[slot.psi_name] = dpsi
         return [dx], grads
     if kind == "attn":
-        if saved.get("override"):
-            raise StateError("cannot backpropagate through an overridden attention module")
         mod = saved["module"]
         dx, dp = attention.attn_backward_raw(mod.kind, mod.channels,
                                              mod.gather(vals), saved["cache"], dy)

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import AttentionKind
-from .autodiff import ParamSet, backward, cross_entropy, forward
+from .autodiff import ParamSet, backward, cross_entropy, forward, recorder
 from .backbones import AttachSpec, build_toy_resnet, build_toy_vgg
 from .config import RunConfig
 from .data import Dataset, augment_batch
@@ -101,8 +101,9 @@ def load_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def evaluate(graph: ModelGraph, params: ParamSet, dataset: Dataset, k: int = 5,
-             batch_size: int = 64) -> tuple[float, float]:
-    """Top-1 and top-k accuracy (k clamped to the class count)."""
+             batch_size: int = 64, *, hook=None) -> tuple[float, float]:
+    """Top-1 and top-k accuracy (k clamped to the class count); `hook` goes to
+    every eval-mode `forward`. Non-finite logits raise InvariantError."""
     n = len(dataset)
     if n == 0:
         raise InvariantError("evaluation dataset is empty")
@@ -111,8 +112,10 @@ def evaluate(graph: ModelGraph, params: ParamSet, dataset: Dataset, k: int = 5,
     for start in range(0, n, batch_size):
         xb = dataset.images[start:start + batch_size]
         yb = dataset.labels[start:start + batch_size]
-        logits, _ = forward(graph, params, xb, mode="eval")
+        logits, _ = forward(graph, params, xb, mode="eval", hook=hook)
         la = logits.data
+        if not np.isfinite(la).all():
+            raise InvariantError(f"non-finite logits at evaluation sample {start}")
         pred = la.argmax(axis=1)
         top1 += int((pred == yb).sum())
         order = np.argsort(-la, axis=1, kind="stable")[:, :k]
@@ -191,15 +194,16 @@ def train(cfg: RunConfig, *, train_set: Dataset | None = None,
 
 def record_stripes(graph: ModelGraph, params: ParamSet, probes: np.ndarray,
                    epoch: int) -> list[StripeRecord]:
-    """Capture every attention vector on the fixed probe inputs (eval mode)."""
+    """Capture every attention vector, and its post-scaling channel mean on a
+    feature map, on the fixed probe inputs (eval mode)."""
     vectors: dict[str, np.ndarray] = {}
-    post: dict[str, np.ndarray] = {}
-    forward(graph, params, probes, mode="eval", record_vectors=vectors,
-            record_post=post)
+    _, tape = forward(graph, params, probes, mode="eval", hook=recorder(vectors),
+                      keep=[n.name for n in graph.nodes if n.kind in ("asr", "attn")])
     records = []
     for module in sorted(vectors):
-        vs = vectors[module]
-        pm = post.get(module)
+        y = tape.values[module]
+        vs = np.broadcast_to(vectors[module], y.shape[:2])
+        pm = y.mean(axis=(2, 3)) if y.ndim == 4 else None
         for p in range(vs.shape[0]):
             records.append(StripeRecord(module=module, epoch=epoch, probe=p,
                                         vector=vs[p].copy(),

@@ -302,6 +302,8 @@ eval_samples = 8
                    (pairs[1] / "metrics.csv").read_bytes()
     same_stripes = (pairs[0] / "stripe_records.csv").read_bytes() == \
                    (pairs[1] / "stripe_records.csv").read_bytes()
+    same_post = (pairs[0] / "stripe_post.csv").read_bytes() == \
+                (pairs[1] / "stripe_post.csv").read_bytes()
 
     chain = tmp_path / "c.ckpt"
     cli_main(["chain", str(chain), "--depth", "3", "--width", "8", "--seed", "2"])
@@ -325,9 +327,11 @@ eval_samples = 8
         noise_outs.append((rd / "noise_attack.csv").read_bytes())
     same_noise = noise_outs[0] == noise_outs[1]
 
-    ok = same_ckpt and same_metrics and same_stripes and same_perturb and same_noise
+    ok = (same_ckpt and same_metrics and same_stripes and same_post and same_perturb
+          and same_noise)
     report(8, ok, f"checkpoint={same_ckpt} metrics={same_metrics} "
-                  f"stripes={same_stripes} perturb={same_perturb} noise={same_noise}", t0)
+                  f"stripes={same_stripes} post={same_post} perturb={same_perturb} "
+                  f"noise={same_noise}", t0)
 
 
 def test_c9_bench():

@@ -183,7 +183,7 @@ class TestNoiseAttack:
         p = init_params(g, seed=0)
         p.values["bn.beta"] = np.array([1.0, -2.0, 0.5])
         x = np.random.default_rng(1).standard_normal((2, 3, 2, 2))
-        out, _ = forward(g, p, x, mode="eval", bn_noise=lambda name: (0.0, 0.0))
+        out, _ = forward(g, p, x, mode="eval", hook=lambda node, m: (0.0, 0.0))
         for c, b in enumerate([1.0, -2.0, 0.5]):
             np.testing.assert_allclose(out.data[:, c], np.full((2, 2, 2), b),
                                        atol=1e-12)
@@ -208,6 +208,29 @@ class TestNoiseAttack:
         a = noise_attack_eval(g, p, ds, NoiseSpec("random", 0.2, 0.1), repeats=3, seed=7)
         b = noise_attack_eval(g, p, ds, NoiseSpec("random", 0.2, 0.1), repeats=3, seed=7)
         assert a.runs == b.runs
+
+    @pytest.mark.parametrize("a,b", [(1e300, 1e300), (1e200, 0.0)])
+    def test_non_finite_logits_raise(self, trained_bn_model, a, b):
+        # Finite but huge noise overflows to inf/NaN logits, whose argmax
+        # is no prediction to score.
+        g, p, ds = trained_bn_model
+        with pytest.raises(InvariantError, match="non-finite logits"):
+            noise_attack_eval(g, p, ds, NoiseSpec("constant", a, b))
+        with pytest.raises(InvariantError, match="non-finite logits"):
+            noise_attack_eval(g, p, ds, NoiseSpec("random", a, b), repeats=1)
+
+    @pytest.mark.parametrize("mode", ["constant", "random"])
+    @pytest.mark.parametrize("a,b", [(float("nan"), 0.0), (0.1, float("nan")),
+                                     (float("inf"), 0.0), (0.1, float("-inf"))])
+    def test_spec_requires_finite_parameters(self, mode, a, b):
+        with pytest.raises(InvariantError, match="finite"):
+            NoiseSpec(mode, a, b)
+
+    @pytest.mark.parametrize("mode", ["constant", "random"])
+    def test_repeats_must_be_positive(self, trained_bn_model, mode):
+        g, p, ds = trained_bn_model
+        with pytest.raises(InvariantError, match="repeats"):
+            noise_attack_eval(g, p, ds, NoiseSpec(mode, 0.1, 0.1), repeats=0)
 
     def test_no_bn_rejected(self):
         from attnfold import LayerNode, ModelGraph
@@ -235,10 +258,10 @@ class TestFreezeAttention:
         ds = synth_dataset(2, 16, 6, seed=31)
         from attnfold.data import Dataset
         one = Dataset(images=ds.images[:1], labels=ds.labels[:1])
-        from attnfold.autodiff import forward as fwd
+        from attnfold.autodiff import forward as fwd, recorder
         vectors = {}
         fwd(result.graph, result.params, one.images, mode="eval",
-            record_vectors=vectors)
+            hook=recorder(vectors))
         frozen = freeze_attention_eval(result.graph, result.params, one, one)
         # frozen constant equals that sample's own vector, so its logits match
         live, _ = evaluate(result.graph, result.params, one)
@@ -253,6 +276,16 @@ class TestFreezeAttention:
         frozen = freeze_attention_eval(result.graph, result.params, calib, eval_set)
         live, _ = evaluate(result.graph, result.params, eval_set)
         assert 0.0 <= frozen <= 1.0 and 0.0 <= live <= 1.0
+
+    def test_empty_eval_set_is_a_typed_error(self):
+        cfg = cfg_tiny(model=dict(attention="se", attention_mode="standard",
+                                  se_reduction=2), train=dict(epochs=1))
+        result = train(cfg)
+        calib = synth_dataset(2, 4, 6, seed=34)
+        from attnfold.data import Dataset
+        empty = Dataset(images=calib.images[:0], labels=calib.labels[:0])
+        with pytest.raises(InvariantError, match="empty"):
+            freeze_attention_eval(result.graph, result.params, calib, empty)
 
     def test_requires_attention(self):
         g = build_toy_resnet(1, 4, 2, None, image_size=6)

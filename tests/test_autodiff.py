@@ -10,7 +10,9 @@ from attnfold import (AttachSpec, AttentionKind, GraphError, InvariantError,
                       LayerNode, ModelGraph, StateError, backward, batchnorm_infer,
                       build_toy_resnet, conv2d, cross_entropy, forward,
                       global_avg_pool, init_params, linear, relu, ConvSpec)
-from attnfold.attention import AsrSlot
+from attnfold.attention import AsrSlot, AttnModule
+from attnfold.autodiff import recorder
+from attnfold.kernels import channel_scale
 from attnfold.graph import BN_EPS
 
 from helpers import check_param_gradients
@@ -192,6 +194,59 @@ class TestLiveness:
         assert peaks[3] < 73_473_305 / 2
         activation = 64 * 16 * 16 * 16 * 8
         assert abs(peaks[4] - peaks[3]) < activation
+
+
+def attention_graph():
+    """One slot and one standard SE module on a [4, 4, 4] map, then a BN."""
+    kind = AttentionKind("se", reduction=2)
+    nodes = [LayerNode("s0", "asr", ["input"], {"slot": "s0"}),
+             LayerNode("m0", "attn", ["s0"], {"module": "m0"}),
+             LayerNode("bn", "bn", ["m0"], {"channels": 4}),
+             LayerNode("gap", "gap", ["bn"]),
+             LayerNode("head", "linear", ["gap"], {"in_dim": 4, "out_dim": 3})]
+    g = tiny_graph(nodes, slots={"s0": AsrSlot(slot_id="s0", kind=kind, channels=4)},
+                   modules={"m0": AttnModule(module_id="m0", kind=kind, channels=4)},
+                   input_shape=(4, 4, 4), classes=3)
+    return g, init_params(g, seed=9), np.random.default_rng(19).standard_normal((3, 4, 4, 4))
+
+
+class TestHook:
+    def test_train_mode_rejects_a_hook(self):
+        g, params, x = attention_graph()
+        with pytest.raises(InvariantError, match="eval-only"):
+            forward(g, params, x, mode="train", hook=lambda node, m: m)
+
+    def test_identity_hook_is_byte_equal(self):
+        g, params, x = attention_graph()
+        seen = []
+        plain, _ = forward(g, params, x)
+        hooked, _ = forward(g, params, x, hook=lambda node, m: seen.append(node.name) or m)
+        assert plain.data.tobytes() == hooked.data.tobytes()
+        assert seen == ["s0", "m0", "bn"]
+
+    @pytest.mark.parametrize("name,shape", [("s0", (4,)), ("m0", (3, 4))])
+    def test_substituted_vector_is_applied(self, name, shape):
+        g, params, x = attention_graph()
+        w = np.random.default_rng(20).uniform(0.1, 0.9, shape)
+        _, tape = forward(g, params, x, keep=["s0", "m0"],
+                          hook=lambda node, m: w if node.name == name else m)
+        scaled_input = x if name == "s0" else tape.values["s0"]
+        assert tape.values[name].tobytes() == channel_scale(scaled_input, w).tobytes()
+        _, clean = forward(g, params, x, keep=["s0", "m0"])
+        if name == "m0":
+            assert tape.values["s0"].tobytes() == clean.values["s0"].tobytes()
+        assert not np.array_equal(tape.values[name], clean.values[name])
+
+    def test_recorder_stores_the_applied_vectors(self):
+        g, params, x = attention_graph()
+        vectors = {}
+        logits, tape = forward(g, params, x, keep=["s0", "m0"], hook=recorder(vectors))
+        assert sorted(vectors) == ["m0", "s0"]
+        assert vectors["s0"].shape == (4,) and vectors["m0"].shape == (3, 4)
+        assert tape.values["s0"].tobytes() == channel_scale(x, vectors["s0"]).tobytes()
+        assert tape.values["m0"].tobytes() == \
+            channel_scale(tape.values["s0"], vectors["m0"]).tobytes()
+        assert logits.data.tobytes() == forward(g, params, x)[0].data.tobytes()
 
 
 class TestBackwardBasics:

@@ -454,6 +454,23 @@ class TestNoiseCommand:
         assert float(row[3]) == clean
 
 
+    @pytest.mark.parametrize("args", [
+        ["--spec", "constant:1e300,1e300"],
+        ["--spec", "constant:inf,0"],
+        ["--spec", "constant:nan,0"],
+        ["--spec", "random:nan,0.1"],
+        ["--spec", "random:0.1,0.1", "--repeats", 0],
+    ], ids=["overflow", "inf", "nan", "random-nan", "zero-repeats"])
+    def test_rejected_attack_exits_1(self, workspace, capsys, args):
+        root, cfg = workspace
+        out = root / "runs"
+        run(["--out-root", out, "train", cfg])
+        ckpt = only_run_dir(out) / "checkpoint.ckpt"
+        capsys.readouterr()
+        assert run(["--out-root", root / "nruns", "noise", ckpt, "--config", cfg]
+                   + args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 class TestBenchCommand:
     def test_rows(self, workspace):
         root, cfg = workspace

@@ -183,3 +183,23 @@ class TestEvaluate:
         ds = synth_dataset(2, 8, 6, seed=10)
         _, top5 = evaluate(result.graph, result.params, ds, k=5)
         assert top5 == 1.0  # k clamps to 2 classes -> always a hit
+
+    def test_non_finite_logits_raise(self):
+        cfg = cfg_tiny()
+        result = train(cfg)
+        ds = synth_dataset(2, 8, 6, seed=11)
+        params = result.params.copy()
+        params.values["head.b"] = np.array([np.nan, 0.0])
+        with pytest.raises(InvariantError, match="non-finite logits"):
+            evaluate(result.graph, params, ds)
+
+    def test_hook_reaches_every_batch(self):
+        cfg = cfg_tiny()
+        result = train(cfg)
+        ds = synth_dataset(2, 10, 6, seed=12)
+        calls = []
+        top1, top5 = evaluate(result.graph, result.params, ds, batch_size=4,
+                              hook=lambda node, m: calls.append(node.name) or m)
+        hooked = sum(n.kind in ("bn", "asr", "attn") for n in result.graph.nodes)
+        assert len(calls) == 3 * hooked
+        assert (top1, top5) == evaluate(result.graph, result.params, ds, batch_size=4)
