@@ -11,9 +11,8 @@ from .config import DataSpec, ModelSpec, RunConfig, TrainSpec, parse_config
 from .data import Dataset, load_cifar10_bin, synth_dataset
 from .errors import (ConfigError, FormatError, FusionError, GraphError,
                      InvariantError, ShapeError, StateError)
-from .fusion import (FuncModel, FusionReport, fold_into_attention_value,
-                     fold_into_bn, fold_into_conv, fold_into_fc, fuse_model,
-                     verify_equivalence)
+from .fusion import (FusionReport, fold_into_attention_value, fold_into_bn,
+                     fold_into_conv, fold_into_fc, fuse_model, verify_equivalence)
 from .graph import LayerNode, ModelGraph, count_flops_conv, count_params, init_params
 from .analysis import (BenchResult, NoiseSpec, PerturbationTrace, bench,
                        freeze_attention_eval, noise_attack_eval, perturb_trace,

@@ -101,15 +101,6 @@ class PerturbationTrace:
     eps_final: float = 0.0
     bound_product: float = 0.0   # M = prod(1 + alpha_t ||W_t||)
 
-    def per_layer_holds(self, slack: float = 1e-9) -> bool:
-        eps_t = self.eps
-        for row in self.rows:
-            limit = eps_t * row.factor * (1.0 + slack)
-            if row.eps_t > limit:
-                return False
-            eps_t = row.eps_t
-        return True
-
     def product_holds(self, slack: float = 1e-9) -> bool:
         return self.eps_final <= self.eps * self.bound_product * (1.0 + slack)
 

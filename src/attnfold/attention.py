@@ -103,13 +103,6 @@ def init_tensor(role: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
     return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def init_attention_params(kind: AttentionKind, channels: int,
-                          rng: np.random.Generator) -> dict[str, np.ndarray]:
-    kind.validate_channels(channels)
-    return {role: init_tensor(role, shape, rng)
-            for role, shape in kind.param_shapes(channels).items()}
-
-
 # JSON types of the fields a slot and a module share.
 ATTACHMENT_TYPES = {"kind": dict, "channels": int, "position": str, "delta_index": int}
 

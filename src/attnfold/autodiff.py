@@ -1,8 +1,8 @@
 """Reverse-mode differentiation over the fixed layer-node set.
 
-A forward pass in train mode records a tape of per-node caches; backward
-walks it in reverse and accumulates gradients into the ParamSet. In both
-modes a node's output is released once its last consumer has run.
+A forward pass in train mode records a tape of per-node backward rules;
+backward walks it in reverse and accumulates gradients into the ParamSet.
+In both modes a node's output is released once its last consumer has run.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class ParamSet:
 @dataclass
 class TapeNode:
     node: object                 # the LayerNode evaluated
-    saved: dict                  # values the backward rule needs
+    back: object                 # dy -> (input grads, param grads by name)
 
 
 @dataclass
@@ -60,7 +60,7 @@ class Tape:
     `values` holds the output node's value plus those of the nodes named in
     `forward(keep=...)`; every other activation was released after its last
     consumer ran. `entries` (train mode only) holds each node's backward
-    cache, which is all `backward` reads besides the output's shape.
+    rule, which is all `backward` reads besides the output's shape.
     """
 
     mode: str
@@ -113,7 +113,7 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     for pos, node in enumerate(nodes[1:], 1):
         ins = [values[i] for i in node.inputs]
         try:
-            values[node.name], saved = _node_forward(graph, params, node, ins, train, hook)
+            values[node.name], back = _node_forward(graph, params, node, ins, train, hook)
         except GraphError:
             raise
         except ValueError as exc:
@@ -121,66 +121,87 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
         for name in release[pos]:
             values.pop(name, None)
         if train:
-            entries.append(TapeNode(node=node, saved=saved))
-        # Drop the locals too, so a released input or an eval-mode cache
+            entries.append(TapeNode(node=node, back=back))
+        # Drop the locals too, so a released input or an eval-mode rule
         # does not live on through the next node.
-        del ins, saved
+        del ins, back
     logits = values[graph.output_name]
     return Tensor._wrap(logits), Tape(mode=mode, graph=graph, params=params,
                                       values=values, entries=entries)
 
 
 def _node_forward(graph, params, node, ins, train, hook):
-    kind = node.kind
+    """A node's output and its backward rule `back(dy) -> (input grads, param
+    grads by name)`; eval-mode BN has no rule (None)."""
+    kind, name, a = node.kind, node.name, node.attrs
     x = ins[0]
     vals = params.values
     if kind == "conv":
-        a = node.attrs
-        k, b = vals[f"{node.name}.k"], vals[f"{node.name}.b"]
-        y, cache = kernels.conv2d_forward(x, k, b, a["stride"], a["padding"])
-        return y, {"cache": cache}
+        k = vals[f"{name}.k"]
+        y, cache = kernels.conv2d_forward(x, k, vals[f"{name}.b"], a["stride"], a["padding"])
+
+        def back(dy):
+            dx, dk, db = kernels.conv2d_backward(dy, k, cache)
+            return [dx], {f"{name}.k": dk, f"{name}.b": db}
+        return y, back
     if kind == "bn":
-        gamma, beta = vals[f"{node.name}.gamma"], vals[f"{node.name}.beta"]
-        if train:
-            y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, BN_EPS)
-            m = x.size // x.shape[1]
-            unbiased = var * (m / (m - 1)) if m > 1 else var
-            rm, rv = f"{node.name}.running_mean", f"{node.name}.running_var"
-            vals[rm] = BN_MOMENTUM * vals[rm] + (1 - BN_MOMENTUM) * mean
-            vals[rv] = BN_MOMENTUM * vals[rv] + (1 - BN_MOMENTUM) * unbiased
-            return y, {"cache": cache}
-        y = kernels.batchnorm_eval_forward(
-            x, vals[f"{node.name}.running_mean"], vals[f"{node.name}.running_var"],
-            gamma, beta, BN_EPS, noise=None if hook is None else hook(node, None))
-        return y, {}
+        gamma, beta = vals[f"{name}.gamma"], vals[f"{name}.beta"]
+        rm, rv = f"{name}.running_mean", f"{name}.running_var"
+        if not train:
+            return kernels.batchnorm_eval_forward(
+                x, vals[rm], vals[rv], gamma, beta, BN_EPS,
+                noise=None if hook is None else hook(node, None)), None
+        y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, BN_EPS)
+        m = x.size // x.shape[1]
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        vals[rm] = BN_MOMENTUM * vals[rm] + (1 - BN_MOMENTUM) * mean
+        vals[rv] = BN_MOMENTUM * vals[rv] + (1 - BN_MOMENTUM) * unbiased
+
+        def back(dy):
+            dx, dgamma, dbeta = kernels.batchnorm_train_backward(dy, cache)
+            return [dx], {f"{name}.gamma": dgamma, f"{name}.beta": dbeta}
+        return y, back
     if kind == "relu":
-        return kernels.relu(x), {"x": x}
+        return kernels.relu(x), lambda dy: ([dy * kernels.relu_grad(x)], {})
     if kind == "linear":
-        w, b = vals[f"{node.name}.w"], vals[f"{node.name}.b"]
-        return kernels.linear_forward(x, w, b), {"x": x}
+        w = vals[f"{name}.w"]
+
+        def back(dy):
+            dx, dw, db = kernels.linear_backward(dy, x, w)
+            return [dx], {f"{name}.w": dw, f"{name}.b": db}
+        return kernels.linear_forward(x, w, vals[f"{name}.b"]), back
     if kind == "gap":
-        return kernels.gap_forward(x), {"x_shape": x.shape}
+        x_shape = x.shape   # the rule keeps the shape only, not the activation
+        return kernels.gap_forward(x), lambda dy: ([kernels.gap_backward(dy, x_shape)], {})
     if kind == "maxpool2":
         y, cache = kernels.maxpool2_forward(x)
-        return y, {"cache": cache}
+        return y, lambda dy: ([kernels.maxpool2_backward(dy, cache)], {})
     if kind == "add":
-        return ins[0] + ins[1], {}
+        return ins[0] + ins[1], lambda dy: ([dy, dy], {})
     if kind == "asr":
-        slot = graph.slots[node.attrs["slot"]]
+        slot = graph.slots[a["slot"]]
         y, v, cache = attention.asr_apply_raw(slot, vals, x)
-        saved = {"cache": cache, "slot": slot}
+
+        def back(dy):
+            dx, dpsi, dp = attention.asr_backward_raw(slot, vals, cache, dy)
+            grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
+            grads[slot.psi_name] = dpsi
+            return [dx], grads
     elif kind == "attn":
-        mod = graph.modules[node.attrs["module"]]
-        y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels,
-                                                 mod.gather(vals), x)
-        saved = {"cache": cache, "module": mod}
+        mod = graph.modules[a["module"]]
+        p = mod.gather(vals)
+        y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels, p, x)
+
+        def back(dy):
+            dx, dp = attention.attn_backward_raw(mod.kind, mod.channels, p, cache, dy)
+            return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
     else:
-        raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
+        raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
     if hook is not None:
         w = hook(node, v)
         if w is not v:
             y = kernels.channel_scale(x, w)
-    return y, saved
+    return y, back
 
 
 def recorder(into: dict):
@@ -206,7 +227,7 @@ def backward(tape: Tape, loss_grad) -> ParamSet:
         dy = dvals.pop(node.name, None)
         if dy is None:
             continue
-        dins, dparams = _node_backward(graph, params, node, entry.saved, dy, tape)
+        dins, dparams = entry.back(dy)
         for iname, dx in zip(node.inputs, dins):
             if iname in dvals:
                 dvals[iname] = dvals[iname] + dx
@@ -215,42 +236,6 @@ def backward(tape: Tape, loss_grad) -> ParamSet:
         for pname, g in dparams.items():
             params.add_grad(pname, g)
     return params
-
-
-def _node_backward(graph, params, node, saved, dy, tape):
-    kind = node.kind
-    vals = params.values
-    if kind == "conv":
-        k = vals[f"{node.name}.k"]
-        dx, dk, db = kernels.conv2d_backward(dy, k, saved["cache"])
-        return [dx], {f"{node.name}.k": dk, f"{node.name}.b": db}
-    if kind == "bn":
-        dx, dgamma, dbeta = kernels.batchnorm_train_backward(dy, saved["cache"])
-        return [dx], {f"{node.name}.gamma": dgamma, f"{node.name}.beta": dbeta}
-    if kind == "relu":
-        return [dy * kernels.relu_grad(saved["x"])], {}
-    if kind == "linear":
-        w = vals[f"{node.name}.w"]
-        dx, dw, db = kernels.linear_backward(dy, saved["x"], w)
-        return [dx], {f"{node.name}.w": dw, f"{node.name}.b": db}
-    if kind == "gap":
-        return [kernels.gap_backward(dy, saved["x_shape"])], {}
-    if kind == "maxpool2":
-        return [kernels.maxpool2_backward(dy, saved["cache"])], {}
-    if kind == "add":
-        return [dy, dy], {}
-    if kind == "asr":
-        slot = saved["slot"]
-        dx, dpsi, dp = attention.asr_backward_raw(slot, vals, saved["cache"], dy)
-        grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
-        grads[slot.psi_name] = dpsi
-        return [dx], grads
-    if kind == "attn":
-        mod = saved["module"]
-        dx, dp = attention.attn_backward_raw(mod.kind, mod.channels,
-                                             mod.gather(vals), saved["cache"], dy)
-        return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
-    raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
 
 
 def cross_entropy(logits, labels) -> tuple[float, Tensor]:

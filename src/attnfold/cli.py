@@ -237,13 +237,14 @@ def cmd_noise(args) -> int:
     specs = [_parse_noise_spec(s) for s in args.spec]
     if not specs:
         raise ConfigError("at least one --spec is required")
-    run = make_run_dir(args.out_root, args.seed)
-    (run / "config.resolved").write_text(format_config(cfg))
     rows = []
     for spec in specs:
         res = noise_attack_eval(graph, params, eval_set, spec,
                                 repeats=args.repeats, seed=args.seed)
         rows.append([spec.mode, spec.a, spec.b, res.mean, res.std, len(res.runs)])
+    # Only an attack that ran leaves a run directory.
+    run = make_run_dir(args.out_root, args.seed)
+    (run / "config.resolved").write_text(format_config(cfg))
     write_csv(run / "noise_attack.csv",
               ["mode", "a", "b", "top1_mean", "top1_std", "repeats"], rows)
     print(f"wrote {run}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -157,42 +156,22 @@ def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100
     return g, p, report
 
 
-@dataclass
-class FuncModel:
-    """A callable model for verification (batch array -> batch array)."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    input_shape: tuple[int, ...]
-
-
-def _as_func_model(model) -> FuncModel:
-    if isinstance(model, FuncModel):
-        return model
-    graph, params = model
-
-    def run(x: np.ndarray) -> np.ndarray:
-        logits, _ = forward(graph, params, x, mode="eval")
-        return logits.data
-
-    return FuncModel(fn=run, input_shape=tuple(graph.input_shape))
-
-
 def verify_equivalence(model_a, model_b, n: int = 100, seed: int = 0,
                        tol: float | None = None) -> float:
-    """Max over n seeded random inputs of |a-b|_inf / (1 + |a|_inf).
+    """Max over n seeded random inputs of |a-b|_inf / (1 + |a|_inf) between
+    two (graph, params) pairs.
 
-    Accepts (graph, params) pairs or FuncModel instances. When `tol` is
-    given, raises InvariantError unless the deviation is at most `tol`, so a
-    NaN deviation fails.
+    When `tol` is given, raises InvariantError unless the deviation is at
+    most `tol`, so a NaN deviation fails.
     """
-    a = _as_func_model(model_a)
-    b = _as_func_model(model_b)
-    if a.input_shape != b.input_shape:
-        raise ShapeError(f"input signatures differ: {a.input_shape} vs {b.input_shape}")
+    (graph_a, params_a), (graph_b, params_b) = model_a, model_b
+    shape_a, shape_b = tuple(graph_a.input_shape), tuple(graph_b.input_shape)
+    if shape_a != shape_b:
+        raise ShapeError(f"input signatures differ: {shape_a} vs {shape_b}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, *a.input_shape))
-    ya = a.fn(x)
-    yb = b.fn(x)
+    x = rng.standard_normal((n, *shape_a))
+    ya = forward(graph_a, params_a, x, mode="eval")[0].data
+    yb = forward(graph_b, params_b, x, mode="eval")[0].data
     flat_a = ya.reshape(n, -1)
     flat_b = yb.reshape(n, -1)
     per_input = (np.abs(flat_a - flat_b).max(axis=1)

@@ -96,129 +96,104 @@ class ModelGraph:
         return g
 
 
-def node_param_shapes(graph: ModelGraph, node: LayerNode) -> dict[str, tuple[int, ...]]:
-    """Trainable parameter names and shapes owned by a layer node."""
-    a = node.attrs
-    if node.kind == "conv":
-        return {f"{node.name}.k": (a["out_ch"], a["in_ch"], a["kh"], a["kw"]),
-                f"{node.name}.b": (a["out_ch"],)}
-    if node.kind == "bn":
-        return {f"{node.name}.gamma": (a["channels"],),
-                f"{node.name}.beta": (a["channels"],)}
-    if node.kind == "linear":
-        return {f"{node.name}.w": (a["out_dim"], a["in_dim"]),
-                f"{node.name}.b": (a["out_dim"],)}
-    if node.kind == "asr":
-        slot = graph.slots[a["slot"]]
-        shapes = {f"{slot.slot_id}.{role}": shape
-                  for role, shape in slot.kind.param_shapes(slot.channels).items()}
-        shapes[slot.psi_name] = (slot.psi_dim,)
-        return shapes
-    if node.kind == "attn":
-        mod = graph.modules[a["module"]]
-        return {f"{mod.module_id}.{role}": shape
-                for role, shape in mod.kind.param_shapes(mod.channels).items()}
-    return {}
-
-
-def node_state_shapes(node: LayerNode) -> dict[str, tuple[int, ...]]:
-    """Non-trainable state (BN running statistics)."""
-    if node.kind == "bn":
-        c = node.attrs["channels"]
-        return {f"{node.name}.running_mean": (c,), f"{node.name}.running_var": (c,)}
-    return {}
-
-
-def node_tensor_shapes(graph: ModelGraph, node: LayerNode) -> dict[str, tuple[int, ...]]:
-    """Every tensor a node owns: its parameters, then its state."""
-    return {**node_param_shapes(graph, node), **node_state_shapes(node)}
+def layer_walk(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], dict, int]]:
+    """Per node, in order: (per-sample output shape, {tensor name: shape} of
+    the parameters and then the state it owns, MACs per sample). Raises
+    GraphError on a mismatch."""
+    if not graph.nodes or graph.nodes[0].kind != "input":
+        raise GraphError("graph must start with an input node")
+    walk = {graph.nodes[0].name: (tuple(graph.input_shape), {}, 0)}
+    for node in graph.nodes[1:]:
+        if node.name in walk:
+            raise GraphError(f"duplicate node name {node.name!r}")
+        for i in node.inputs:
+            if i not in walk:
+                raise GraphError(f"node {node.name!r} reads {i!r} before it is defined")
+        walk[node.name] = _layer(graph, node, [walk[i][0] for i in node.inputs])
+    return walk
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, tuple[int, ...]]:
     """Per-sample output shape of every node; raises GraphError on mismatch."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    if not graph.nodes or graph.nodes[0].kind != "input":
-        raise GraphError("graph must start with an input node")
-    shapes[graph.nodes[0].name] = tuple(graph.input_shape)
-    seen = {graph.nodes[0].name}
-    for node in graph.nodes[1:]:
-        if node.name in seen:
-            raise GraphError(f"duplicate node name {node.name!r}")
-        for i in node.inputs:
-            if i not in seen:
-                raise GraphError(f"node {node.name!r} reads {i!r} before it is defined")
-        ins = [shapes[i] for i in node.inputs]
-        shapes[node.name] = _node_output_shape(graph, node, ins)
-        seen.add(node.name)
-    return shapes
+    return {name: shape for name, (shape, _, _) in layer_walk(graph).items()}
 
 
-def _node_output_shape(graph: ModelGraph, node: LayerNode,
-                       ins: list[tuple[int, ...]]) -> tuple[int, ...]:
-    kind, a = node.kind, node.attrs
+def _layer(graph: ModelGraph, node: LayerNode,
+           ins: list[tuple[int, ...]]) -> tuple[tuple[int, ...], dict, int]:
+    kind, a, name = node.kind, node.attrs, node.name
     if kind == "input":
         raise GraphError("only the first node may be an input node")
     if kind != "add" and len(ins) != 1:
-        raise GraphError(f"node {node.name!r} expects one input, got {len(ins)}")
+        raise GraphError(f"node {name!r} expects one input, got {len(ins)}")
     s = ins[0]
     if kind == "conv":
         if len(s) != 3:
-            raise GraphError(f"conv {node.name!r} needs a [C,H,W] input, got {s}")
+            raise GraphError(f"conv {name!r} needs a [C,H,W] input, got {s}")
         if s[0] != a["in_ch"]:
-            raise GraphError(f"conv {node.name!r} expects {a['in_ch']} channels, got {s[0]}")
+            raise GraphError(f"conv {name!r} expects {a['in_ch']} channels, got {s[0]}")
         for key, low in (("stride", 1), ("kh", 1), ("kw", 1), ("padding", 0)):
             if a[key] < low:
-                raise GraphError(f"conv {node.name!r} attr {key!r} must be >= {low}, "
+                raise GraphError(f"conv {name!r} attr {key!r} must be >= {low}, "
                                  f"got {a[key]}")
         oh = (s[1] + 2 * a["padding"] - a["kh"]) // a["stride"] + 1
         ow = (s[2] + 2 * a["padding"] - a["kw"]) // a["stride"] + 1
         if oh < 1 or ow < 1:
-            raise GraphError(f"conv {node.name!r} output dims ({oh},{ow}) not positive")
-        return (a["out_ch"], oh, ow)
+            raise GraphError(f"conv {name!r} output dims ({oh},{ow}) not positive")
+        return ((a["out_ch"], oh, ow),
+                {f"{name}.k": (a["out_ch"], a["in_ch"], a["kh"], a["kw"]),
+                 f"{name}.b": (a["out_ch"],)},
+                a["out_ch"] * a["in_ch"] * a["kh"] * a["kw"] * oh * ow)
     if kind == "bn":
         if s[0] != a["channels"]:
-            raise GraphError(f"bn {node.name!r} expects {a['channels']} channels, got {s[0]}")
-        return s
+            raise GraphError(f"bn {name!r} expects {a['channels']} channels, got {s[0]}")
+        return s, {f"{name}.{t}": (a["channels"],)
+                   for t in ("gamma", "beta", "running_mean", "running_var")}, 0
     if kind == "relu":
-        return s
+        return s, {}, 0
     if kind == "linear":
         if len(s) != 1:
-            raise GraphError(f"linear {node.name!r} needs a flat input, got {s}")
+            raise GraphError(f"linear {name!r} needs a flat input, got {s}")
         if s[0] != a["in_dim"]:
-            raise GraphError(f"linear {node.name!r} expects dim {a['in_dim']}, got {s[0]}")
-        return (a["out_dim"],)
+            raise GraphError(f"linear {name!r} expects dim {a['in_dim']}, got {s[0]}")
+        return ((a["out_dim"],),
+                {f"{name}.w": (a["out_dim"], a["in_dim"]), f"{name}.b": (a["out_dim"],)},
+                a["out_dim"] * a["in_dim"])
     if kind == "gap":
         if len(s) != 3:
-            raise GraphError(f"gap {node.name!r} needs a [C,H,W] input, got {s}")
-        return (s[0],)
+            raise GraphError(f"gap {name!r} needs a [C,H,W] input, got {s}")
+        return (s[0],), {}, 0
     if kind == "maxpool2":
         if len(s) != 3 or s[1] % 2 or s[2] % 2:
-            raise GraphError(f"maxpool2 {node.name!r} needs even [C,H,W] dims, got {s}")
-        return (s[0], s[1] // 2, s[2] // 2)
+            raise GraphError(f"maxpool2 {name!r} needs even [C,H,W] dims, got {s}")
+        return (s[0], s[1] // 2, s[2] // 2), {}, 0
     if kind == "add":
         if len(ins) != 2 or ins[0] != ins[1]:
-            raise GraphError(f"add {node.name!r} needs two equal-shaped inputs, got {ins}")
-        return s
+            raise GraphError(f"add {name!r} needs two equal-shaped inputs, got {ins}")
+        return s, {}, 0
     if kind == "asr":
         slot = graph.slots.get(a.get("slot"))
         if slot is None:
-            raise GraphError(f"asr node {node.name!r} references unknown slot {a.get('slot')!r}")
+            raise GraphError(f"asr node {name!r} references unknown slot {a.get('slot')!r}")
         if s[0] != slot.channels:
             raise GraphError(f"slot {slot.slot_id} covers {slot.channels} channels, "
                              f"input has {s[0]}")
-        return s
+        tensors = {f"{slot.slot_id}.{role}": shape
+                   for role, shape in slot.kind.param_shapes(slot.channels).items()}
+        tensors[slot.psi_name] = (slot.psi_dim,)
+        return s, tensors, 0
     if kind == "attn":
         mod = graph.modules.get(a.get("module"))
         if mod is None:
-            raise GraphError(f"attn node {node.name!r} references unknown module "
+            raise GraphError(f"attn node {name!r} references unknown module "
                              f"{a.get('module')!r}")
         if len(s) != 3:
-            raise GraphError(f"attn {node.name!r} needs a [C,H,W] input, got {s}")
+            raise GraphError(f"attn {name!r} needs a [C,H,W] input, got {s}")
         if s[0] != mod.channels:
             raise GraphError(f"module {mod.module_id} covers {mod.channels} channels, "
                              f"input has {s[0]}")
-        return s
-    raise GraphError(f"unknown layer kind {kind!r} in node {node.name!r}")
+        return s, {f"{mod.module_id}.{role}": shape
+                   for role, shape in mod.kind.param_shapes(mod.channels).items()}, 0
+    raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
 
 
 def validate_graph(graph: ModelGraph) -> None:
@@ -249,12 +224,14 @@ def validate_graph(graph: ModelGraph) -> None:
 
 def all_param_shapes(graph: ModelGraph) -> tuple[dict[str, tuple[int, ...]],
                                                  dict[str, tuple[int, ...]]]:
-    """(trainable, state) shape maps for the whole graph, in node order."""
+    """(trainable, state) shape maps for the whole graph, in node order; BN
+    running statistics are the state."""
     trainable: dict[str, tuple[int, ...]] = {}
     state: dict[str, tuple[int, ...]] = {}
-    for node in graph.nodes:
-        trainable.update(node_param_shapes(graph, node))
-        state.update(node_state_shapes(node))
+    for _, tensors, _ in layer_walk(graph).values():
+        for name, shape in tensors.items():
+            into = state if name.endswith((".running_mean", ".running_var")) else trainable
+            into[name] = shape
     return trainable, state
 
 
@@ -271,16 +248,7 @@ def count_flops_conv(graph: ModelGraph, input_shape: tuple[int, ...] | None = No
     convolutions' O(C^2 * H * W * K^2).
     """
     g = graph if input_shape is None else replace(graph, input_shape=tuple(input_shape))
-    shapes = infer_shapes(g)
-    macs = 0
-    for node in g.nodes:
-        a = node.attrs
-        if node.kind == "conv":
-            _, oh, ow = shapes[node.name]
-            macs += a["out_ch"] * a["in_ch"] * a["kh"] * a["kw"] * oh * ow
-        elif node.kind == "linear":
-            macs += a["out_dim"] * a["in_dim"]
-    return macs
+    return sum(macs for _, _, macs in layer_walk(g).values())
 
 
 def init_params(graph: ModelGraph, seed: int):
@@ -295,10 +263,10 @@ def init_params(graph: ModelGraph, seed: int):
     validate_graph(graph)
     rng = np.random.default_rng(seed)
     values: dict[str, np.ndarray] = {}
-    for node in graph.nodes:
-        for name, shape in node_tensor_shapes(graph, node).items():
-            role = name.rpartition(".")[2]
-            values[name] = (graph.slots[node.attrs["slot"]].init_psi() if role == "psi"
+    for _, tensors, _ in layer_walk(graph).values():
+        for name, shape in tensors.items():
+            owner, _, role = name.rpartition(".")
+            values[name] = (graph.slots[owner].init_psi() if role == "psi"
                             else init_tensor(role, shape, rng))
     return ParamSet(values=values, trainable=trainable_names(graph))
 
@@ -310,13 +278,11 @@ def remove_node(graph: ModelGraph, params, name: str) -> None:
     if len(node.inputs) != 1:
         raise GraphError(f"node {name!r} has {len(node.inputs)} inputs; only a "
                          f"single-input node can be removed")
-    for tensor in node_tensor_shapes(graph, node):
+    for tensor in layer_walk(graph)[name][1]:
         params.values.pop(tensor, None)
         params.trainable.discard(tensor)
-    if node.kind == "asr":
-        del graph.slots[node.attrs["slot"]]
-    elif node.kind == "attn":
-        del graph.modules[node.attrs["module"]]
+    graph.slots.pop(node.attrs.get("slot"), None)
+    graph.modules.pop(node.attrs.get("module"), None)
     graph.nodes = [n for n in graph.nodes if n is not node]
     for n in graph.nodes:
         n.inputs = [node.inputs[0] if i == name else i for i in n.inputs]

@@ -112,7 +112,9 @@ def evaluate(graph: ModelGraph, params: ParamSet, dataset: Dataset, k: int = 5,
     for start in range(0, n, batch_size):
         xb = dataset.images[start:start + batch_size]
         yb = dataset.labels[start:start + batch_size]
-        logits, _ = forward(graph, params, xb, mode="eval", hook=hook)
+        # Overflow to inf/NaN is reported by the finite check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, _ = forward(graph, params, xb, mode="eval", hook=hook)
         la = logits.data
         if not np.isfinite(la).all():
             raise InvariantError(f"non-finite logits at evaluation sample {start}")

@@ -1,6 +1,8 @@
 """analysis: stripe statistics, the perturbation bound, noise attacks,
 frozen-attention baseline, bench counters."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,9 @@ class TestPerturbTrace:
             x0 = rng.standard_normal(width)
             eps = float(rng.choice([1e-3, 1e-2, 1e-1]))
             trace = perturb_trace(g, p, x0, eps=eps, seed=int(rng.integers(1 << 30)))
-            assert trace.per_layer_holds(1e-9)
+            eps_in = [trace.eps] + [row.eps_t for row in trace.rows[:-1]]
+            for row, eps_t in zip(trace.rows, eps_in):
+                assert row.eps_t <= eps_t * row.factor * (1.0 + 1e-9)
             assert trace.product_holds(1e-9)
 
     def test_no_asr_alpha_is_one_and_bound_larger(self):
@@ -218,6 +222,13 @@ class TestNoiseAttack:
             noise_attack_eval(g, p, ds, NoiseSpec("constant", a, b))
         with pytest.raises(InvariantError, match="non-finite logits"):
             noise_attack_eval(g, p, ds, NoiseSpec("random", a, b), repeats=1)
+
+    def test_non_finite_logits_warn_nothing(self, trained_bn_model):
+        g, p, ds = trained_bn_model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvariantError, match="non-finite logits"):
+                noise_attack_eval(g, p, ds, NoiseSpec("constant", 1e300, 1e300))
 
     @pytest.mark.parametrize("mode", ["constant", "random"])
     @pytest.mark.parametrize("a,b", [(float("nan"), 0.0), (0.1, float("nan")),

@@ -5,8 +5,7 @@ import pytest
 
 from attnfold import (AttentionKind, InvariantError, asr_apply, asr_vector,
                       attn_standard, body_forward, no_body_vector)
-from attnfold.attention import (AsrSlot, attn_forward_raw, init_attention_params,
-                                pool_forward_raw)
+from attnfold.attention import AsrSlot, attn_forward_raw, init_tensor, pool_forward_raw
 from attnfold.kernels import gap_forward, sigmoid
 
 
@@ -16,8 +15,8 @@ def make_slot(kind, channels=8, **kw):
 
 def slot_values(slot, seed=0):
     rng = np.random.default_rng(seed)
-    values = {f"s.{role}": arr for role, arr in
-              init_attention_params(slot.kind, slot.channels, rng).items()}
+    values = {f"s.{role}": init_tensor(role, shape, rng)
+              for role, shape in slot.kind.param_shapes(slot.channels).items()}
     values["s.psi"] = slot.init_psi()
     return values
 

@@ -195,6 +195,28 @@ class TestLiveness:
         activation = 64 * 16 * 16 * 16 * 8
         assert abs(peaks[4] - peaks[3]) < activation
 
+    def test_train_tape_keeps_no_gap_activation(self):
+        # Width-16 SE ResNet with two slots per block, batch 32 at 16x16: the
+        # gap input is 1 MB. A train tape that kept per-node caches in dicts
+        # retained 54_218_226 bytes under tracemalloc (numpy 2.4, x and the
+        # patch-index cache allocated before tracing); a gap rule that held
+        # its input instead of the input's shape would add that 1 MB.
+        g = se_resnet(2, 16, 16, delta=2)
+        params = init_params(g, seed=6)
+        x = np.random.default_rng(5).standard_normal((32, 3, 16, 16))
+        forward(g, params, x, mode="train")
+        tracemalloc.start()
+        try:
+            _, tape = forward(g, params, x, mode="train")
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        gap = [e for e in tape.entries if e.node.kind == "gap"]
+        assert len(gap) == 1
+        assert not [c for c in gap[0].back.__closure__
+                    if isinstance(c.cell_contents, np.ndarray)]
+        assert abs(retained - 54_218_226) < 500_000
+
 
 def attention_graph():
     """One slot and one standard SE module on a [4, 4, 4] map, then a BN."""

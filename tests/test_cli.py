@@ -470,6 +470,7 @@ class TestNoiseCommand:
         assert run(["--out-root", root / "nruns", "noise", ckpt, "--config", cfg]
                    + args) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not list((root / "nruns").glob("*"))
 
 class TestBenchCommand:
     def test_rows(self, workspace):

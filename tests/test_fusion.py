@@ -4,7 +4,7 @@ fusion with parameter parity, equivalence verification."""
 import numpy as np
 import pytest
 
-from attnfold import (AttachSpec, AttentionKind, ConvSpec, FuncModel, FusionError,
+from attnfold import (AttachSpec, AttentionKind, ConvSpec, FusionError,
                       ShapeError, batchnorm_infer, build_toy_resnet, build_toy_vgg,
                       channel_mul, conv2d, count_params, fold_into_attention_value,
                       fold_into_bn, fold_into_conv, fold_into_fc, forward, fuse_model,
@@ -278,26 +278,31 @@ class TestVerifyEquivalence:
         with pytest.raises(ShapeError, match="signature"):
             verify_equivalence((g1, init_params(g1, 0)), (g2, init_params(g2, 0)), n=2)
 
-    def test_func_model_adapter(self):
-        m1 = FuncModel(fn=lambda x: 2.0 * x, input_shape=(3,))
-        m2 = FuncModel(fn=lambda x: 2.0 * x + 1e-6, input_shape=(3,))
-        dev = verify_equivalence(m1, m2, n=5, seed=2)
+    @staticmethod
+    def with_head_bias(bias_shift):
+        g = build_toy_resnet(1, 4, 3, None, image_size=6)
+        p = init_params(g, seed=15)
+        p2 = p.copy()
+        p2.values["head.b"] = p2.values["head.b"] + bias_shift
+        return (g, p), (g, p2)
+
+    def test_deviation_relative_to_first_model(self):
+        a, b = self.with_head_bias(1e-6)
+        dev = verify_equivalence(a, b, n=5, seed=2)
+        x = np.random.default_rng(2).standard_normal((5, 3, 6, 6))
+        ya = forward(*a, x)[0].data
         # absolute gap 1e-6 scaled by the per-input 1 + |a|_inf denominator
-        assert 1e-7 < dev < 1e-6
+        assert dev == pytest.approx(1e-6 / (1 + np.abs(ya).max(axis=1)).min(), rel=1e-6)
 
     def test_tol_raises(self):
         from attnfold import InvariantError
-        m1 = FuncModel(fn=lambda x: x, input_shape=(2,))
-        m2 = FuncModel(fn=lambda x: x + 1.0, input_shape=(2,))
         with pytest.raises(InvariantError, match="deviation"):
-            verify_equivalence(m1, m2, n=3, seed=3, tol=1e-9)
+            verify_equivalence(*self.with_head_bias(1.0), n=3, seed=3, tol=1e-9)
 
     def test_tol_fails_closed_on_nan(self):
         from attnfold import InvariantError
-        m1 = FuncModel(fn=lambda x: x, input_shape=(2,))
-        m2 = FuncModel(fn=lambda x: np.full_like(x, np.nan), input_shape=(2,))
         with pytest.raises(InvariantError, match="deviation"):
-            verify_equivalence(m1, m2, n=3, seed=3, tol=1e-9)
+            verify_equivalence(*self.with_head_bias(np.nan), n=3, seed=3, tol=1e-9)
 
 
 class TestFusionReportCsv:

@@ -1,4 +1,5 @@
-"""graph: the remove_node rewrite and byte-stable initialization."""
+"""graph: the remove_node rewrite, byte-stable initialization and the
+shapes, tensors and MACs the layer walk yields."""
 
 import hashlib
 
@@ -7,7 +8,8 @@ import pytest
 
 from attnfold import (AttachSpec, AttentionKind, GraphError, build_residual_chain,
                       build_toy_resnet, build_toy_vgg, init_params)
-from attnfold.graph import remove_node, validate_graph
+from attnfold.graph import (all_param_shapes, count_flops_conv, count_params,
+                            infer_shapes, remove_node, validate_graph)
 
 
 def se_resnet(mode="asr", delta=1):
@@ -132,3 +134,33 @@ class TestInitBytes:
         assert np.array_equal(v["block0.asr0.psi"], g.slots["block0.asr0"].init_psi())
         assert "block0.asr0.psi" in p.trainable
         assert "stem.bn.running_mean" not in p.trainable
+
+
+# sha256 of infer_shapes, both maps of all_param_shapes (in order), count_params
+# and count_flops_conv of each INIT_DIGESTS graph, recorded before the
+# per-kind shape, tensor and MAC chains became one layer walk.
+WALK_DIGESTS = {
+    "se_asr_resnet":
+        "a7c77c6e58f166b65eacbc01c1acb73e0e8816e7284e66fc85828f9a3d6184e3",
+    "cbam_standard_resnet":
+        "9ad694d8f9f31d3dd3372342d6e31f25b45e9213ba86a5644ad003d75e3d0264",
+    "spa_vgg":
+        "403fb94f85037f083ce708ed89f089edfce937c56690fef1ce52ea679461e6de",
+    "eca_asr_resnet":
+        "188b1ef332559bfe09f1d342ee9d49bca95c3285b6fced6c73914533fb724153",
+    "chain":
+        "faae5ff76bb50530e110e390714b504a50b8680cffa7bcd9950a63cef9567aac",
+}
+
+
+def walk_digest(g):
+    trainable, state = all_param_shapes(g)
+    facts = [list(infer_shapes(g).items()), list(trainable.items()), list(state.items()),
+             count_params(g), count_flops_conv(g)]
+    return hashlib.sha256(repr(facts).encode()).hexdigest()
+
+
+class TestLayerWalk:
+    @pytest.mark.parametrize("name", sorted(WALK_DIGESTS))
+    def test_digest_pinned(self, name):
+        assert walk_digest(INIT_DIGESTS[name][0]()) == WALK_DIGESTS[name]
