@@ -14,7 +14,7 @@ import numpy as np
 from . import attention, kernels
 from .errors import GraphError, InvariantError, StateError
 from .graph import BN_EPS, BN_MOMENTUM, ModelGraph
-from .tensor import Tensor, as_array
+from .tensor import Tensor, as_array, identity_get, identity_put, immutable_memo
 
 
 @dataclass
@@ -41,10 +41,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet(values={k: v.copy() for k, v in self.values.items()},
                         trainable=set(self.trainable))
-
-    def total_size(self, trainable_only: bool = True) -> int:
-        names = self.trainable if trainable_only else self.values.keys()
-        return sum(self.values[n].size for n in names)
 
 
 @dataclass
@@ -85,6 +81,11 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     [N, C] for a module) and a returned object other than v scales x in its
     place; a bn node passes None, and a returned (scale, shift) maps its
     normalized activation xhat to xhat * scale + shift.
+
+    The graph runs as a compiled `_Plan`, reused while the graph's structure
+    is unchanged (see `_plan`). A slot whose psi and body tensors are all
+    held in immutable `bytes` (a loaded checkpoint) computes its eval-mode
+    vector once (`tensor.immutable_memo`); the vector is read-only.
     """
     if mode not in ("train", "eval"):
         raise InvariantError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -92,116 +93,230 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     if xa.shape[1:] != tuple(graph.input_shape):
         raise GraphError(f"input shape {xa.shape[1:]} does not match graph input "
                          f"{tuple(graph.input_shape)}")
-    nodes = graph.nodes
-    last_use: dict[str, int] = {}
-    for pos, node in enumerate(nodes):
-        last_use[node.name] = pos
-        last_use.update(dict.fromkeys(node.inputs, pos))
-    kept = {*keep, graph.output_name}
-    unknown = sorted(kept - last_use.keys())
-    if unknown:
-        raise GraphError(f"keep names unknown node {unknown[0]!r}")
-    release: list[list[str]] = [[] for _ in nodes]
-    for name, pos in last_use.items():
-        if name not in kept:
-            release[pos].append(name)
-    values: dict[str, np.ndarray] = {nodes[0].name: xa}
-    entries: list[TapeNode] = []
+    plan = _plan(graph)
+    release = plan.release(keep)
     train = mode == "train"
     if train and hook is not None:
         raise InvariantError("a forward hook is eval-only; train mode takes none")
-    for pos, node in enumerate(nodes[1:], 1):
-        ins = [values[i] for i in node.inputs]
+    vals = params.values
+    values: dict[str, np.ndarray] = {plan.input_name: xa}
+    entries: list[TapeNode] = []
+    for (node, inputs, step), dead in zip(plan.steps, release):
+        ins = [values[i] for i in inputs]
         try:
-            values[node.name], back = _node_forward(graph, params, node, ins, train, hook)
+            values[node.name], back = step(vals, ins, train, hook)
         except GraphError:
             raise
         except ValueError as exc:
             raise GraphError(f"layer {node.name!r}: {exc}") from exc
-        for name in release[pos]:
+        for name in dead:
             values.pop(name, None)
         if train:
             entries.append(TapeNode(node=node, back=back))
-        # Drop the locals too, so a released input or an eval-mode rule
-        # does not live on through the next node.
+        # Drop the locals too, so a released input or a rule does not live
+        # on through the next node.
         del ins, back
-    logits = values[graph.output_name]
+    logits = values[plan.output_name]
     return Tensor._wrap(logits), Tape(mode=mode, graph=graph, params=params,
                                       values=values, entries=entries)
 
 
-def _node_forward(graph, params, node, ins, train, hook):
-    """A node's output and its backward rule `back(dy) -> (input grads, param
-    grads by name)`; eval-mode BN has no rule (None)."""
+class _Plan:
+    """What `forward` needs that depends on the graph's structure only: one
+    step per node after the input (`_compile`), and per `keep` set the
+    values each position releases. It holds no parameter: a step reads
+    its tensors by name when it runs."""
+
+    RELEASES_MAX = 8
+
+    def __init__(self, graph: ModelGraph):
+        nodes = graph.nodes
+        self.input_name, self.output_name = nodes[0].name, graph.output_name
+        self.steps = [(node, tuple(node.inputs), _compile(graph, node))
+                      for node in nodes[1:]]
+        self.last_use: dict[str, int] = {}
+        for pos, node in enumerate(nodes):
+            self.last_use[node.name] = pos
+            self.last_use.update(dict.fromkeys(node.inputs, pos))
+        self.releases: dict[frozenset, list[list[str]]] = {}
+
+    def release(self, keep) -> list[list[str]]:
+        """Per step, the values dead once it has run, keeping `keep` and the output."""
+        kept = frozenset((*keep, self.output_name))
+        found = self.releases.get(kept)
+        if found is not None:
+            return found
+        unknown = sorted(kept - self.last_use.keys())
+        if unknown:
+            raise GraphError(f"keep names unknown node {unknown[0]!r}")
+        release: list[list[str]] = [[] for _ in self.steps]
+        for name, pos in self.last_use.items():
+            if pos and name not in kept:
+                release[pos - 1].append(name)
+        if len(self.releases) >= self.RELEASES_MAX:
+            del self.releases[next(iter(self.releases))]
+        self.releases[kept] = release
+        return release
+
+
+# Compiled plans by graph identity: (id(graph),) -> (weak references,
+# (structural fingerprint, plan)). Oldest first; a dead graph's entry goes.
+_PLANS_MAX = 16
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _plan(graph: ModelGraph) -> _Plan:
+    """The graph's compiled plan, built again after any change to node
+    names, kinds, inputs or attrs, or to which slot and module objects the
+    graph holds (an in-place rewrite such as `graph.remove_node` included)."""
+    fingerprint = (tuple((n.name, n.kind, tuple(n.inputs), tuple(n.attrs.items()))
+                         for n in graph.nodes),
+                   tuple(graph.slots.items()), tuple(graph.modules.items()))
+    key = (id(graph),)
+    found = identity_get(_PLANS, key, (graph,))
+    if found is not None and found[0] == fingerprint:
+        return found[1]
+    plan = _Plan(graph)
+    identity_put(_PLANS, key, (graph,), (fingerprint, plan), _PLANS_MAX)
+    return plan
+
+
+def _compile(graph: ModelGraph, node):
+    """A node's step `step(vals, ins, train, hook) -> (y, back)`: vals are the
+    parameter values by name, ins the input values, and back the backward
+    rule `back(dy) -> (input grads, param grads by name)` in train mode,
+    None in eval mode, where no rule is built."""
     kind, name, a = node.kind, node.name, node.attrs
-    x = ins[0]
-    vals = params.values
     if kind == "conv":
-        k = vals[f"{name}.k"]
-        y, cache = kernels.conv2d_forward(x, k, vals[f"{name}.b"], a["stride"], a["padding"])
+        k_name, b_name, stride, padding = f"{name}.k", f"{name}.b", a["stride"], a["padding"]
 
-        def back(dy):
-            dx, dk, db = kernels.conv2d_backward(dy, k, cache)
-            return [dx], {f"{name}.k": dk, f"{name}.b": db}
-        return y, back
+        def step(vals, ins, train, hook):
+            k = vals[k_name]
+            y, cache = kernels.conv2d_forward(ins[0], k, vals[b_name], stride, padding)
+            return y, _rule(_conv_back, k, cache, k_name, b_name) if train else None
+        return step
     if kind == "bn":
-        gamma, beta = vals[f"{name}.gamma"], vals[f"{name}.beta"]
-        rm, rv = f"{name}.running_mean", f"{name}.running_var"
-        if not train:
-            return kernels.batchnorm_eval_forward(
-                x, vals[rm], vals[rv], gamma, beta, BN_EPS,
-                noise=None if hook is None else hook(node, None)), None
-        y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, BN_EPS)
-        m = x.size // x.shape[1]
-        unbiased = var * (m / (m - 1)) if m > 1 else var
-        vals[rm] = BN_MOMENTUM * vals[rm] + (1 - BN_MOMENTUM) * mean
-        vals[rv] = BN_MOMENTUM * vals[rv] + (1 - BN_MOMENTUM) * unbiased
+        g_name, b_name, rm, rv = (f"{name}.{t}" for t in
+                                  ("gamma", "beta", "running_mean", "running_var"))
 
-        def back(dy):
-            dx, dgamma, dbeta = kernels.batchnorm_train_backward(dy, cache)
-            return [dx], {f"{name}.gamma": dgamma, f"{name}.beta": dbeta}
-        return y, back
+        def step(vals, ins, train, hook):
+            x, gamma, beta = ins[0], vals[g_name], vals[b_name]
+            if not train:
+                return kernels.batchnorm_eval_forward(
+                    x, vals[rm], vals[rv], gamma, beta, BN_EPS,
+                    noise=None if hook is None else hook(node, None)), None
+            y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, BN_EPS)
+            m = x.size // x.shape[1]
+            unbiased = var * (m / (m - 1)) if m > 1 else var
+            vals[rm] = BN_MOMENTUM * vals[rm] + (1 - BN_MOMENTUM) * mean
+            vals[rv] = BN_MOMENTUM * vals[rv] + (1 - BN_MOMENTUM) * unbiased
+            return y, _rule(_bn_back, cache, g_name, b_name)
+        return step
     if kind == "relu":
-        return kernels.relu(x), lambda dy: ([dy * kernels.relu_grad(x)], {})
+        return lambda vals, ins, train, hook: (
+            kernels.relu(ins[0]), _rule(_relu_back, ins[0]) if train else None)
     if kind == "linear":
-        w = vals[f"{name}.w"]
+        w_name, b_name = f"{name}.w", f"{name}.b"
 
-        def back(dy):
-            dx, dw, db = kernels.linear_backward(dy, x, w)
-            return [dx], {f"{name}.w": dw, f"{name}.b": db}
-        return kernels.linear_forward(x, w, vals[f"{name}.b"]), back
+        def step(vals, ins, train, hook):
+            x, w = ins[0], vals[w_name]
+            return (kernels.linear_forward(x, w, vals[b_name]),
+                    _rule(_linear_back, x, w, w_name, b_name) if train else None)
+        return step
     if kind == "gap":
-        x_shape = x.shape   # the rule keeps the shape only, not the activation
-        return kernels.gap_forward(x), lambda dy: ([kernels.gap_backward(dy, x_shape)], {})
+        # The rule keeps the shape only, not the activation.
+        return lambda vals, ins, train, hook: (
+            kernels.gap_forward(ins[0]), _rule(_gap_back, ins[0].shape) if train else None)
     if kind == "maxpool2":
-        y, cache = kernels.maxpool2_forward(x)
-        return y, lambda dy: ([kernels.maxpool2_backward(dy, cache)], {})
+        def step(vals, ins, train, hook):
+            y, cache = kernels.maxpool2_forward(ins[0])
+            return y, _rule(_maxpool2_back, cache) if train else None
+        return step
     if kind == "add":
-        return ins[0] + ins[1], lambda dy: ([dy, dy], {})
+        return lambda vals, ins, train, hook: (ins[0] + ins[1], _add_back if train else None)
     if kind == "asr":
         slot = graph.slots[a["slot"]]
-        y, v, cache = attention.asr_apply_raw(slot, vals, x)
 
-        def back(dy):
-            dx, dpsi, dp = attention.asr_backward_raw(slot, vals, cache, dy)
-            grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
-            grads[slot.psi_name] = dpsi
-            return [dx], grads
-    elif kind == "attn":
+        def step(vals, ins, train, hook):
+            x = ins[0]
+            if train:
+                y, _, cache = attention.asr_apply_raw(slot, vals, x)
+                return y, _rule(_asr_back, slot, vals, cache)
+            v = _slot_vector(slot, vals)
+            return kernels.channel_scale(x, v if hook is None else hook(node, v)), None
+        return step
+    if kind == "attn":
         mod = graph.modules[a["module"]]
-        p = mod.gather(vals)
-        y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels, p, x)
 
-        def back(dy):
-            dx, dp = attention.attn_backward_raw(mod.kind, mod.channels, p, cache, dy)
-            return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
-    else:
-        raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
-    if hook is not None:
-        w = hook(node, v)
-        if w is not v:
-            y = kernels.channel_scale(x, w)
-    return y, back
+        def step(vals, ins, train, hook):
+            x, p = ins[0], mod.gather(vals)
+            y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels, p, x)
+            if hook is not None:
+                w = hook(node, v)
+                if w is not v:
+                    y = kernels.channel_scale(x, w)
+            return y, _rule(_attn_back, mod, p, cache) if train else None
+        return step
+    raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
+
+
+def _slot_vector(slot, vals) -> np.ndarray:
+    """A slot's eval-mode vector, read-only; memoised for immutable tensors."""
+    def compute():
+        v = attention.asr_vector_raw(slot, vals)[0]
+        v.flags.writeable = False
+        return v
+    arrays = (vals[slot.psi_name], *slot.gather(vals).values())
+    return immutable_memo(("asr", slot.kind, slot.channels), arrays, compute)
+
+
+def _rule(back, *state):
+    """The backward rule `dy -> back(dy, *state)` of one node's forward
+    state; a step builds it in train mode only."""
+    return lambda dy: back(dy, *state)
+
+
+def _conv_back(dy, k, cache, k_name, b_name):
+    dx, dk, db = kernels.conv2d_backward(dy, k, cache)
+    return [dx], {k_name: dk, b_name: db}
+
+
+def _bn_back(dy, cache, g_name, b_name):
+    dx, dgamma, dbeta = kernels.batchnorm_train_backward(dy, cache)
+    return [dx], {g_name: dgamma, b_name: dbeta}
+
+
+def _relu_back(dy, x):
+    return [dy * kernels.relu_grad(x)], {}
+
+
+def _linear_back(dy, x, w, w_name, b_name):
+    dx, dw, db = kernels.linear_backward(dy, x, w)
+    return [dx], {w_name: dw, b_name: db}
+
+
+def _gap_back(dy, x_shape):
+    return [kernels.gap_backward(dy, x_shape)], {}
+
+
+def _maxpool2_back(dy, cache):
+    return [kernels.maxpool2_backward(dy, cache)], {}
+
+
+def _add_back(dy):
+    return [dy, dy], {}
+
+
+def _asr_back(dy, slot, vals, cache):
+    dx, dpsi, dp = attention.asr_backward_raw(slot, vals, cache, dy)
+    grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
+    grads[slot.psi_name] = dpsi
+    return [dx], grads
+
+
+def _attn_back(dy, mod, p, cache):
+    dx, dp = attention.attn_backward_raw(mod.kind, mod.channels, p, cache, dy)
+    return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
 
 
 def recorder(into: dict):

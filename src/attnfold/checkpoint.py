@@ -21,6 +21,7 @@ import numpy as np
 from .autodiff import ParamSet
 from .errors import FormatError
 from .graph import ModelGraph, all_param_shapes, trainable_names
+from .tensor import all_finite
 
 FORMAT_TAG = "attnfold-checkpoint"
 VERSION = 1
@@ -67,8 +68,8 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
     """
     blob = Path(path).read_bytes()
     graph_dict, entries, payload = _split(blob, str(path))
-    graph = ModelGraph.from_dict(graph_dict)
-    expected_trainable, expected_state = all_param_shapes(graph)
+    graph, walk = ModelGraph.from_dict_walk(graph_dict)
+    expected_trainable, expected_state = all_param_shapes(graph, walk)
     expected = dict(expected_trainable)
     expected.update(expected_state)
     values: dict[str, np.ndarray] = {}
@@ -102,11 +103,11 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
         if arr.shape != tuple(expected[name]):
             raise FormatError(f"{path}: tensor {name!r} has shape {arr.shape}, "
                               f"graph expects {tuple(expected[name])}")
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise FormatError(f"{path}: tensor {name!r} has non-finite elements")
         if name.endswith(".running_var") and (arr < 0).any():
             raise FormatError(f"{path}: tensor {name!r} has negative elements")
-    params = ParamSet(values=values, trainable=trainable_names(graph))
+    params = ParamSet(values=values, trainable=trainable_names(graph, walk))
     return graph, params
 
 

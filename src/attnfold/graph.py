@@ -78,6 +78,11 @@ class ModelGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelGraph":
+        return cls.from_dict_walk(d)[0]
+
+    @classmethod
+    def from_dict_walk(cls, d: dict) -> tuple["ModelGraph", dict]:
+        """`from_dict`, plus the graph's `layer_walk`, which validation computes."""
         require_keys(d, ("nodes", "slots", "modules", "input_shape", "classes", "meta"),
                      "graph")
         require_types(d, {"nodes": list, "slots": dict, "modules": dict,
@@ -87,13 +92,13 @@ class ModelGraph:
                 modules={k: AttnModule.from_dict(m) for k, m in d["modules"].items()},
                 input_shape=tuple(d["input_shape"]),
                 classes=d["classes"], meta=dict(d["meta"]))
-        validate_graph(g)
-        out = infer_shapes(g)[g.output_name]
+        walk = validate_graph(g)
+        out = walk[g.output_name][0]
         if g.classes < 1 or out[-1:] != (g.classes,):
             raise FormatError(f"graph key 'classes' is {g.classes}, but it must be >= 1 "
                               f"and equal the last dimension of output node "
                               f"{g.output_name!r} of shape {out}")
-        return g
+        return g, walk
 
 
 def layer_walk(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], dict, int]]:
@@ -196,14 +201,15 @@ def _layer(graph: ModelGraph, node: LayerNode,
     raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
 
 
-def validate_graph(graph: ModelGraph) -> None:
+def validate_graph(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], dict, int]]:
+    """Check the graph; returns its `layer_walk`, so a caller walks it once."""
     for node in graph.nodes:
         if node.kind not in LAYER_KINDS:
             raise GraphError(f"unknown layer kind {node.kind!r} in node {node.name!r}")
         for ch in node.name:
             if ch.isspace():
                 raise GraphError(f"node name {node.name!r} contains whitespace")
-    infer_shapes(graph)
+    walk = layer_walk(graph)
     referenced = {n.attrs["slot"] for n in graph.nodes if n.kind == "asr"}
     if referenced != set(graph.slots):
         raise GraphError(f"slot references {sorted(referenced)} do not match "
@@ -220,15 +226,17 @@ def validate_graph(graph: ModelGraph) -> None:
     if set(graph.slots) & set(graph.modules):
         raise GraphError(f"ids {sorted(set(graph.slots) & set(graph.modules))} name both "
                          f"a slot and a module")
+    return walk
 
 
-def all_param_shapes(graph: ModelGraph) -> tuple[dict[str, tuple[int, ...]],
-                                                 dict[str, tuple[int, ...]]]:
+def all_param_shapes(graph: ModelGraph, walk: dict | None = None
+                     ) -> tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]:
     """(trainable, state) shape maps for the whole graph, in node order; BN
-    running statistics are the state."""
+    running statistics are the state. `walk` is the graph's `layer_walk`,
+    computed here when not given."""
     trainable: dict[str, tuple[int, ...]] = {}
     state: dict[str, tuple[int, ...]] = {}
-    for _, tensors, _ in layer_walk(graph).values():
+    for _, tensors, _ in (walk or layer_walk(graph)).values():
         for name, shape in tensors.items():
             into = state if name.endswith((".running_mean", ".running_var")) else trainable
             into[name] = shape
@@ -260,15 +268,15 @@ def init_params(graph: ModelGraph, seed: int):
     """
     from .autodiff import ParamSet
 
-    validate_graph(graph)
+    walk = validate_graph(graph)
     rng = np.random.default_rng(seed)
     values: dict[str, np.ndarray] = {}
-    for _, tensors, _ in layer_walk(graph).values():
+    for _, tensors, _ in walk.values():
         for name, shape in tensors.items():
             owner, _, role = name.rpartition(".")
             values[name] = (graph.slots[owner].init_psi() if role == "psi"
                             else init_tensor(role, shape, rng))
-    return ParamSet(values=values, trainable=trainable_names(graph))
+    return ParamSet(values=values, trainable=trainable_names(graph, walk))
 
 
 def remove_node(graph: ModelGraph, params, name: str) -> None:
@@ -288,7 +296,8 @@ def remove_node(graph: ModelGraph, params, name: str) -> None:
         n.inputs = [node.inputs[0] if i == name else i for i in n.inputs]
 
 
-def trainable_names(graph: ModelGraph) -> set[str]:
-    """The parameter names a fresh init would mark trainable."""
+def trainable_names(graph: ModelGraph, walk: dict | None = None) -> set[str]:
+    """The parameter names a fresh init would mark trainable (`walk` as in
+    `all_param_shapes`)."""
     frozen = {s.psi_name for s in graph.slots.values() if not s.psi_trainable}
-    return set(all_param_shapes(graph)[0]) - frozen
+    return set(all_param_shapes(graph, walk)[0]) - frozen

@@ -20,21 +20,22 @@ class Tensor:
     """Immutable dense N-dimensional float64 array, row-major.
 
     Construction rejects NaN/Inf. `data` is a read-only view of the backing
-    numpy array; the array passed in keeps its own writeable flag. When that
-    array views an immutable `bytes` object, as every tensor returned by
-    `checkpoint.load_checkpoint` does, nothing can write to the memory at
-    all, and `spectral_norm` keys such a matrix by identity.
+    numpy array; the array passed in keeps its own writeable flag. An array
+    that views an immutable `bytes` object, as every tensor returned by
+    `checkpoint.load_checkpoint` does, cannot be written through at all: it
+    is its own `data`, and its finite check runs once (`immutable_memo`).
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data, *, _checked: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if not _checked and not np.isfinite(arr).all():
+        if not _checked and not all_finite(arr):
             raise InvariantError("tensor contains non-finite elements")
-        view = arr.view()
-        view.flags.writeable = False
-        object.__setattr__(self, "data", view)
+        if arr.flags.writeable or not in_bytes(arr):
+            arr = arr.view()
+            arr.flags.writeable = False
+        object.__setattr__(self, "data", arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -213,36 +214,75 @@ class ConvOperator:
 # Exact matrix norms by content digest (see `spectral_norm`), oldest first.
 _MATRIX_NORMS_MAX = 256
 _MATRIX_NORMS: dict[bytes, float] = {}
-# Content digests of matrices held in immutable `bytes`, keyed by identity:
-# (id of the owning array, data address, shape, strides, dtype) ->
-# (weak reference to the owning array, digest). Oldest first.
+# Facts about arrays held in immutable `bytes`, by identity (`immutable_memo`):
+# key -> (weak references to the arrays, fact). Oldest first.
 _IMMUTABLE_KEYS_MAX = 256
-_IMMUTABLE_KEYS: dict[tuple, tuple[weakref.ref, bytes]] = {}
+_IMMUTABLE_KEYS: dict[tuple, tuple[tuple[weakref.ref, ...], object]] = {}
+
+
+def in_bytes(a: np.ndarray) -> bool:
+    """Whether a's memory belongs to an immutable `bytes` object, so that
+    nothing can write to it (numpy refuses to make such an array writable)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return type(a.base) is bytes
+
+
+def identity_get(table: dict, key: tuple, objs):
+    """The value `identity_put` stored under `key` for these very objects,
+    or None; an entry for a dead object whose id was recycled misses."""
+    entry = table.get(key)
+    if entry is None:
+        return None
+    for ref, obj in zip(entry[0], objs):
+        if ref() is not obj:
+            return None
+    return entry[1]
+
+
+def identity_put(table: dict, key: tuple, objs, value, cap: int):
+    """Store `value` (never None) under `key`, holding `objs` by weak
+    reference only: the entry leaves the table when any of them dies, and
+    the oldest entries leave while the table holds `cap`. Returns value."""
+    def drop(ref):
+        entry = table.get(key)
+        if entry is not None and any(r is ref for r in entry[0]):
+            table.pop(key, None)
+    table.pop(key, None)
+    while len(table) >= cap:
+        table.pop(next(iter(table)), None)
+    table[key] = (tuple(weakref.ref(o, drop) for o in objs), value)
+    return value
+
+
+def immutable_memo(what, arrays, compute):
+    """`compute()`, a fact named `what` about `arrays`, computed once for as
+    long as they live when every one is held in immutable `bytes`
+    (`in_bytes`), and afresh on every call otherwise.
+
+    The key is `what` plus each array's id, shape, strides and dtype, all an
+    array object can change about itself (its data address is fixed). The
+    table holds the arrays by weak reference only, so it keeps no payload
+    alive, an entry goes with its arrays, and a recycled id misses.
+    """
+    if not all(map(in_bytes, arrays)):
+        return compute()
+    key = (what, *[(id(a), a.shape, a.strides, a.dtype) for a in arrays])
+    found = identity_get(_IMMUTABLE_KEYS, key, arrays)
+    if found is None:
+        found = identity_put(_IMMUTABLE_KEYS, key, arrays, compute(), _IMMUTABLE_KEYS_MAX)
+    return found
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a has no NaN or Inf; checked once for immutable arrays."""
+    return immutable_memo("finite", (a,), lambda: bool(np.isfinite(a).all()))
 
 
 def _content_key(w: np.ndarray) -> bytes:
     digest = hashlib.sha256(f"{w.dtype.str}{w.shape}".encode())
     digest.update(w)
     return digest.digest()
-
-
-def _matrix_key(w: np.ndarray) -> bytes:
-    """The content digest of w, computed once per matrix held in `bytes`."""
-    owner = w
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if type(owner.base) is not bytes:
-        return _content_key(w)
-    ident = (id(owner), w.__array_interface__["data"][0], w.shape, w.strides, w.dtype.str)
-    entry = _IMMUTABLE_KEYS.get(ident)
-    # A dead or different owner under the same id means the id was recycled.
-    if entry is not None and entry[0]() is owner:
-        return entry[1]
-    key = _content_key(w)
-    if entry is None and len(_IMMUTABLE_KEYS) >= _IMMUTABLE_KEYS_MAX:
-        del _IMMUTABLE_KEYS[next(iter(_IMMUTABLE_KEYS))]
-    _IMMUTABLE_KEYS[ident] = (weakref.ref(owner), key)
-    return key
 
 
 def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
@@ -265,18 +305,15 @@ def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> flo
     matrix and holds at most `_MATRIX_NORMS_MAX` entries, dropping the
     oldest first. Implicit operators are never memoised.
 
-    A matrix whose memory belongs to an immutable `bytes` object (every
-    tensor `load_checkpoint` returns) cannot change, so its digest is taken
-    once and found again by identity: the owning array's id and a weak
-    reference to it, the data address, shape, strides and dtype. The weak
-    reference keeps nothing alive, and an id recycled by a new array
-    misses. Every other array is digested on every call.
+    A matrix held in immutable `bytes` (every tensor `load_checkpoint`
+    returns) cannot change, so its digest is taken once and found again by
+    identity (`immutable_memo`). Every other array is digested on every call.
     """
     if iters < 1:
         raise InvariantError(f"iters must be >= 1, got {iters}")
     if isinstance(op, MatrixOperator):
         w = op.w
-        key = _matrix_key(w)
+        key = immutable_memo("digest", (w,), lambda: _content_key(w))
         norm = _MATRIX_NORMS.get(key)
         if norm is None:
             gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w

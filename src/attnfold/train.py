@@ -166,6 +166,9 @@ def train(cfg: RunConfig, *, train_set: Dataset | None = None,
             if t.flip or t.crop:
                 xb = augment_batch(xb, rng, flip=t.flip, crop=t.crop)
             yb = train_set.labels[idx]
+            # Drop the previous step's tape (every rule and cache it holds)
+            # before this step's forward builds the next one.
+            tape = None
             logits, tape = forward(graph, params, xb, mode="train")
             loss, dlogits = cross_entropy(logits, yb)
             if not np.isfinite(loss):

@@ -1,17 +1,25 @@
 """autodiff: forward wiring oracles, finite-difference gradient checks,
 cross-entropy against the scalar formula."""
 
+import copy
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import attnfold.attention as attention_mod
+import attnfold.autodiff as autodiff_mod
+import attnfold.tensor as tensor_mod
 from attnfold import (AttachSpec, AttentionKind, GraphError, InvariantError,
-                      LayerNode, ModelGraph, StateError, backward, batchnorm_infer,
-                      build_toy_resnet, conv2d, cross_entropy, forward,
-                      global_avg_pool, init_params, linear, relu, ConvSpec)
+                      LayerNode, MatrixOperator, ModelGraph, StateError, backward,
+                      batchnorm_infer, build_residual_chain, build_toy_resnet, conv2d,
+                      cross_entropy, forward, global_avg_pool, init_params, linear,
+                      load_checkpoint, relu, save_checkpoint, spectral_norm, ConvSpec)
 from attnfold.attention import AsrSlot, AttnModule
 from attnfold.autodiff import recorder
+from attnfold.graph import remove_node
 from attnfold.kernels import channel_scale
 from attnfold.graph import BN_EPS
 
@@ -484,3 +492,139 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(InvariantError, match="out of range"):
             cross_entropy(np.zeros((1, 3)), [3])
+
+
+class TestPlanCache:
+    """forward compiles a graph once and recompiles it after any rewrite;
+    facts about loaded (immutable) tensors are computed once."""
+
+    @staticmethod
+    def outcome(g, params, x):
+        """The logits' bytes, or the GraphError message."""
+        try:
+            return forward(g, params, x)[0].data.tobytes()
+        except GraphError as exc:
+            return f"GraphError: {exc}"
+
+    def check_edit(self, g, params, x, edit):
+        before = self.outcome(g, params, x)
+        edit(g, params)
+        after = self.outcome(g, params, x)
+        assert after == self.outcome(copy.deepcopy(g), copy.deepcopy(params), x)
+        assert after != before
+        return after
+
+    def test_remove_node(self):
+        g = se_resnet(1, 4, 6)
+        slot = next(n.name for n in g.nodes if n.kind == "asr")
+        x = np.random.default_rng(30).standard_normal((2, 3, 6, 6))
+        self.check_edit(g, init_params(g, seed=30), x,
+                        lambda g, p: remove_node(g, p, slot))
+
+    def test_in_place_inputs_edit(self):
+        g = build_residual_chain(2, 6)
+        x = np.random.default_rng(31).standard_normal((3, 6))
+        # The first block's add now skips its slot: the list changes in place.
+        self.check_edit(g, init_params(g, seed=31), x,
+                        lambda g, p: g.node("block0.add").inputs.__setitem__(1, "block0.relu"))
+
+    def test_conv_padding_edit(self):
+        nodes = [LayerNode("conv", "conv", ["input"], dict(in_ch=2, out_ch=3, kh=3, kw=3,
+                                                          stride=1, padding=1)),
+                 LayerNode("gap", "gap", ["conv"]),
+                 LayerNode("head", "linear", ["gap"], {"in_dim": 3, "out_dim": 2})]
+        g = tiny_graph(nodes, input_shape=(2, 5, 5), classes=2)
+        x = np.random.default_rng(32).standard_normal((2, 2, 5, 5))
+        params = init_params(g, seed=32)
+        params.values["conv.b"] = np.ones(3)   # a wider border changes the mean
+        self.check_edit(g, params, x, lambda g, p: g.node("conv").attrs.update(padding=2))
+
+    def test_padding_edit_raises_the_fresh_error(self):
+        g = se_resnet(1, 4, 6)
+        conv = next(n for n in g.nodes if n.kind == "conv" and n.name != "stem.conv")
+        x = np.random.default_rng(33).standard_normal((2, 3, 6, 6))
+        after = self.check_edit(g, init_params(g, seed=33), x,
+                                lambda g, p: conv.attrs.update(padding=0))
+        assert after.startswith("GraphError: ")
+
+    @staticmethod
+    def loaded_chain(path, depth=2, width=8, seed=0):
+        g = build_residual_chain(depth, width, psi_seed=seed)
+        save_checkpoint(path, g, init_params(g, seed=seed))
+        return load_checkpoint(path)
+
+    def test_dropping_a_loaded_model_frees_its_payload(self, tmp_path):
+        g, params = self.loaded_chain(tmp_path / "c.ckpt")
+        x = np.random.default_rng(34).standard_normal((2, 8))
+        logits, tape = forward(g, params, x, hook=recorder({}))
+        spectral_norm(MatrixOperator(params.values["block0.lin.w"]))
+        owners = []
+        for arr in params.values.values():
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners.append(weakref.ref(arr))
+        del g, params, logits, tape, arr
+        gc.collect()
+        assert all(ref() is None for ref in owners)
+
+    def test_memo_tables_stay_bounded(self, tmp_path):
+        x = np.random.default_rng(35).standard_normal((2, 8))
+        for cycle in range(300):
+            g, params = self.loaded_chain(tmp_path / "c.ckpt", seed=cycle % 7)
+            forward(g, params, x)
+            spectral_norm(MatrixOperator(params.values["block1.lin.w"]))
+            del g, params
+        gc.collect()
+        tables = [(autodiff_mod._PLANS, autodiff_mod._PLANS_MAX),
+                  (tensor_mod._IMMUTABLE_KEYS, tensor_mod._IMMUTABLE_KEYS_MAX),
+                  (tensor_mod._MATRIX_NORMS, tensor_mod._MATRIX_NORMS_MAX)]
+        for table, cap in tables:
+            assert len(table) <= cap
+        # Entries keyed by identity leave with the objects they describe.
+        for table, _ in tables[:2]:
+            assert all(ref() is not None for refs, _ in table.values() for ref in refs)
+
+    def test_in_place_psi_edit_changes_the_output(self, tmp_path):
+        g, loaded = self.loaded_chain(tmp_path / "c.ckpt")
+        x = np.random.default_rng(36).standard_normal((2, 8))
+        first = forward(g, loaded, x)[0].data.tobytes()
+        params = loaded.copy()
+        assert forward(g, params, x)[0].data.tobytes() == first
+        params.values["block0.asr0.psi"] += 1.0
+        edited = forward(g, params, x)[0].data.tobytes()
+        assert edited != first
+        assert edited == forward(copy.deepcopy(g), params.copy(), x)[0].data.tobytes()
+        assert forward(g, loaded, x)[0].data.tobytes() == first
+
+    def test_loaded_slot_vector_is_computed_once_and_read_only(self, tmp_path, monkeypatch):
+        g, params = self.loaded_chain(tmp_path / "c.ckpt")
+        x = np.random.default_rng(37).standard_normal((2, 8))
+        calls = []
+        vector = attention_mod.asr_vector_raw
+        monkeypatch.setattr(attention_mod, "asr_vector_raw",
+                            lambda *a: calls.append(1) or vector(*a))
+        seen = []
+        for values in (params.values, params.values, params.copy().values):
+            vectors = {}
+            forward(g, autodiff_mod.ParamSet(values=values), x, hook=recorder(vectors))
+            seen.append(vectors)
+        assert len(calls) == 2 * len(g.slots)   # the loaded pass once, the copy once
+        for name in g.slots:
+            assert seen[1][name] is seen[0][name]
+            assert not seen[0][name].flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                seen[0][name][0] = 0.5
+            assert seen[2][name].tobytes() == seen[0][name].tobytes()
+
+    def test_loaded_matrix_finite_check_runs_once(self, tmp_path, monkeypatch):
+        _, params = self.loaded_chain(tmp_path / "c.ckpt")
+        w = params.values["block0.lin.w"]
+        checks = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checks.append(a.shape) or isfinite(a))
+        for _ in range(30):
+            MatrixOperator(w)
+        assert checks == []
+        for _ in range(30):
+            MatrixOperator(w.copy())
+        assert len(checks) == 30

@@ -164,3 +164,44 @@ class TestLayerWalk:
     @pytest.mark.parametrize("name", sorted(WALK_DIGESTS))
     def test_digest_pinned(self, name):
         assert walk_digest(INIT_DIGESTS[name][0]()) == WALK_DIGESTS[name]
+
+
+class TestOneWalk:
+    """Loading and initializing a graph walk its layers once."""
+
+    @pytest.fixture
+    def layer_calls(self, monkeypatch):
+        import attnfold.graph as graph_mod
+        calls = []
+        layer = graph_mod._layer
+
+        def counting(graph, node, ins):
+            calls.append(node.name)
+            return layer(graph, node, ins)
+
+        monkeypatch.setattr(graph_mod, "_layer", counting)
+        return calls
+
+    @staticmethod
+    def model():
+        spec = AttachSpec(kind=AttentionKind("se", reduction=2), delta=1)
+        return build_toy_resnet(2, 4, 3, spec, image_size=6)
+
+    def test_init_params_walks_once(self, layer_calls):
+        g = self.model()
+        layer_calls.clear()
+        init_params(g, seed=0)
+        assert sorted(layer_calls) == sorted(n.name for n in g.nodes[1:])
+
+    def test_load_checkpoint_walks_once(self, layer_calls, tmp_path):
+        from attnfold import load_checkpoint, save_checkpoint
+        g = self.model()
+        save_checkpoint(tmp_path / "m.ckpt", g, init_params(g, seed=0))
+        layer_calls.clear()
+        g2, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert sorted(layer_calls) == sorted(n.name for n in g2.nodes[1:])
+
+    def test_validate_graph_returns_the_walk(self):
+        from attnfold.graph import layer_walk
+        g = self.model()
+        assert validate_graph(g) == layer_walk(g)
