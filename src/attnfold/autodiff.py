@@ -113,9 +113,9 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
             values.pop(name, None)
         if train:
             entries.append(TapeNode(node=node, back=back))
-        # Drop the locals too, so a released input or a rule does not live
-        # on through the next node.
-        del ins, back
+        # Drop the local list too, so a released input does not live on
+        # through the next node.
+        del ins
     logits = values[plan.output_name]
     return Tensor._wrap(logits), Tape(mode=mode, graph=graph, params=params,
                                       values=values, entries=entries)
