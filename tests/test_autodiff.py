@@ -410,6 +410,35 @@ class TestGradientsAttention:
         x = np.random.default_rng(18).standard_normal((3, 4, 4, 4))
         check_param_gradients(g, params, x, proj_seed=7)
 
+    @pytest.mark.parametrize("kind",
+                             [k for k in KINDS if k.variant != "no_body"],
+                             ids=lambda k: f"{k.variant}-k{k.kernel}-l{len(k.levels)}")
+    def test_input_gradient_through_the_pool(self, kind):
+        # A conv before the module: its kernel gradient reaches it only through
+        # the module's dx, so the pool's backward (gap, spatial std, spatial
+        # max, the pyramid) is checked, not discarded at the graph input.
+        mod = AttnModule(module_id="m0", kind=kind, channels=4)
+        nodes = [LayerNode("conv", "conv", ["input"],
+                           {"in_ch": 2, "out_ch": 4, "kh": 3, "kw": 3, "stride": 1,
+                            "padding": 1}),
+                 LayerNode("m0", "attn", ["conv"], {"module": "m0"}),
+                 LayerNode("gap", "gap", ["m0"]),
+                 LayerNode("head", "linear", ["gap"], {"in_dim": 4, "out_dim": 3})]
+        g = tiny_graph(nodes, modules={"m0": mod}, input_shape=(2, 4, 4), classes=3)
+        params = init_params(g, seed=24)
+        rng = np.random.default_rng(25)
+        for name in sorted(params.trainable):
+            if name.startswith("m0.") and params.values[name].ndim == 1:
+                params.values[name] = rng.uniform(0.5, 1.5, params.values[name].shape)
+        if "m0.w1" in params.values:
+            # A positive w1 keeps the hidden units of cbam's max branch alive
+            # (a dead branch passes no gradient to spatial_max_backward); a
+            # small w2 keeps the sigmoid out of saturation.
+            params.values["m0.w1"] = rng.uniform(0.2, 0.6, params.values["m0.w1"].shape)
+            params.values["m0.w2"] = rng.uniform(-0.5, 0.5, params.values["m0.w2"].shape)
+        x = np.random.default_rng(26).standard_normal((3, 2, 4, 4))
+        check_param_gradients(g, params, x, proj_seed=27, max_elems=12)
+
 
 class TestFullNetGradients:
     def test_toy_resnet_with_se_asr(self):
