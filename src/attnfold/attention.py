@@ -1,8 +1,10 @@
 """Channel-attention bodies, the standard input-dependent path, and the
 constant-input path whose output vector can later be folded away.
 
-Raw `_raw` functions work on ndarrays and return backward caches; the
-public wrappers validate and speak `Tensor`.
+Raw `_raw` functions work on ndarrays and return their backward rules; the
+public wrappers validate and speak `Tensor`. A variant is its entry in
+`VARIANTS`, its `param_shapes` and `body_input_dim`, one branch of
+`body_forward_raw` and, with a standard path, one of `pool_forward_raw`.
 """
 
 from __future__ import annotations
@@ -39,14 +41,6 @@ class AttentionKind:
         if not self.levels or any(g < 1 for g in self.levels):
             raise InvariantError(f"levels must be non-empty and positive, got {self.levels}")
 
-    def validate_channels(self, channels: int) -> None:
-        if self.variant in ("se", "cbam") and channels % self.reduction != 0:
-            raise InvariantError(
-                f"{self.variant} reduction {self.reduction} must divide {channels} channels")
-        if self.variant == "eca" and self.kernel // 2 >= channels:
-            raise InvariantError(
-                f"eca kernel {self.kernel} too wide for {channels} channels")
-
     @property
     def pyramid_size(self) -> int:
         return sum(g * g for g in self.levels)
@@ -64,9 +58,13 @@ class AttentionKind:
         return channels
 
     def param_shapes(self, channels: int) -> dict[str, tuple[int, ...]]:
+        """The body's tensor shapes by role; InvariantError if the variant
+        cannot be sized for `channels`."""
         c, r = channels, self.reduction
         v = self.variant
         if v in ("se", "cbam"):
+            if c % r != 0:
+                raise InvariantError(f"{v} reduction {r} must divide {c} channels")
             return {"w1": (c // r, c), "w2": (c, c // r)}
         if v == "ie":
             return {"gamma": (c,), "beta": (c,)}
@@ -75,6 +73,8 @@ class AttentionKind:
         if v == "spa":
             return {"w1": (c, self.pyramid_size * c), "w2": (c, c)}
         if v == "eca":
+            if self.kernel // 2 >= c:
+                raise InvariantError(f"eca kernel {self.kernel} too wide for {c} channels")
             return {"w": (self.kernel,)}
         return {}
 
@@ -115,7 +115,7 @@ def _check_attachment(a) -> None:
         raise InvariantError(f"unknown position tag {a.position!r}")
     if a.delta_index < 0:
         raise InvariantError("delta_index must be >= 0")
-    a.kind.validate_channels(a.channels)
+    a.kind.param_shapes(a.channels)  # raises if the kind cannot be sized for them
 
 
 @dataclass
@@ -220,26 +220,26 @@ class AttnModule:
 
 
 # ---------------------------------------------------------------------------
-# Body forward/backward (raw). u is [N, C'] and v is [N, C].
+# Raw paths. u is [N, C'] and v is [N, C]. Each forward returns its output
+# with the backward rule of that call: a body's `back(dv) -> (du, grads by
+# role)`, a pool's `back(du) -> dx`.
 
 
-def _mlp_forward(u, w1, w2):
+def _mlp(u, w1, w2):
+    """z = relu(u w1^T) w2^T and its rule `back(dz) -> (du, grads)`."""
     h_pre = u @ w1.T
     h = kernels.relu(h_pre)
-    return h @ w2.T, {"u": u, "h_pre": h_pre, "h": h}
 
-
-def _mlp_backward(dz, w1, w2, cache):
-    dw2 = dz.T @ cache["h"]
-    dh = dz @ w2
-    dh_pre = dh * kernels.relu_grad(cache["h_pre"])
-    dw1 = dh_pre.T @ cache["u"]
-    du = dh_pre @ w1
-    return du, {"w1": dw1, "w2": dw2}
+    def back(dz):
+        dw2 = dz.T @ h
+        dh_pre = (dz @ w2) * kernels.relu_grad(h_pre)
+        return dh_pre @ w1, {"w1": dh_pre.T @ u, "w2": dw2}
+    return h @ w2.T, back
 
 
 def body_forward_raw(kind: AttentionKind, channels: int, p: dict[str, np.ndarray],
-                     u: np.ndarray) -> tuple[np.ndarray, dict]:
+                     u: np.ndarray):
+    """v = sigmoid(F(u)) and its rule `back(dv) -> (du, grads by role)`."""
     c = channels
     v = kind.variant
     expect_const = kind.body_input_dim(c, constant_input=True)
@@ -248,149 +248,114 @@ def body_forward_raw(kind: AttentionKind, channels: int, p: dict[str, np.ndarray
         raise ShapeError(
             f"{v} body expects input dim {expect_std} (or {expect_const} for a "
             f"constant input), got {u.shape[1]}")
-    if v == "se" or v == "spa":
-        z, cache = _mlp_forward(u, p["w1"], p["w2"])
+    if v in ("se", "spa") or (v == "cbam" and u.shape[1] == c):
+        z, back = _mlp(u, p["w1"], p["w2"])
+    elif v == "cbam":
+        z1, back1 = _mlp(u[:, :c], p["w1"], p["w2"])
+        z2, back2 = _mlp(u[:, c:], p["w1"], p["w2"])
+        z = z1 + z2
+
+        def back(dz):
+            (du1, dp1), (du2, dp2) = back1(dz), back2(dz)
+            return np.concatenate([du1, du2], axis=1), {k: dp1[k] + dp2[k] for k in dp1}
     elif v == "ie":
-        z, cache = u * p["gamma"] + p["beta"], {"u": u}
+        z = u * p["gamma"] + p["beta"]
+
+        def back(dz):
+            return dz * p["gamma"], {"gamma": (dz * u).sum(axis=0), "beta": dz.sum(axis=0)}
     elif v == "srm":
         z = u[:, :c] * p["w_mean"] + u[:, c:] * p["w_std"]
-        cache = {"u": u}
+
+        def back(dz):
+            return (np.concatenate([dz * p["w_mean"], dz * p["w_std"]], axis=1),
+                    {"w_mean": (dz * u[:, :c]).sum(axis=0), "w_std": (dz * u[:, c:]).sum(axis=0)})
     elif v == "eca":
-        z, cache = kernels.circular_conv1d_forward(u, p["w"]), {"u": u}
-    elif v == "cbam":
-        if u.shape[1] == c:
-            z, mc = _mlp_forward(u, p["w1"], p["w2"])
-            cache = {"single": True, "mlp": mc}
-        else:
-            z1, c1 = _mlp_forward(u[:, :c], p["w1"], p["w2"])
-            z2, c2 = _mlp_forward(u[:, c:], p["w1"], p["w2"])
-            z = z1 + z2
-            cache = {"single": False, "mlp_avg": c1, "mlp_max": c2}
+        z = kernels.circular_conv1d_forward(u, p["w"])
+
+        def back(dz):
+            du, dw = kernels.circular_conv1d_backward(dz, u, p["w"])
+            return du, {"w": dw}
     else:  # no_body: the vector is sigma(u) directly
-        z, cache = u, {}
+        z, back = u, lambda dz: (dz, {})
     out = kernels.sigmoid(z)
-    cache["v"] = out
-    return out, cache
+    return out, lambda dv: back(dv * kernels.sigmoid_grad(out))
 
 
-def body_backward_raw(kind: AttentionKind, channels: int, p: dict[str, np.ndarray],
-                      cache: dict, dv: np.ndarray) -> tuple[np.ndarray, dict]:
-    c = channels
-    v = kind.variant
-    dz = dv * kernels.sigmoid_grad(cache["v"])
-    if v == "se" or v == "spa":
-        return _mlp_backward(dz, p["w1"], p["w2"], cache)
-    if v == "ie":
-        u = cache["u"]
-        return dz * p["gamma"], {"gamma": (dz * u).sum(axis=0), "beta": dz.sum(axis=0)}
-    if v == "srm":
-        u = cache["u"]
-        du = np.concatenate([dz * p["w_mean"], dz * p["w_std"]], axis=1)
-        return du, {"w_mean": (dz * u[:, :c]).sum(axis=0),
-                    "w_std": (dz * u[:, c:]).sum(axis=0)}
-    if v == "eca":
-        du, dw = kernels.circular_conv1d_backward(dz, cache["u"], p["w"])
-        return du, {"w": dw}
-    if v == "cbam":
-        if cache["single"]:
-            return _mlp_backward(dz, p["w1"], p["w2"], cache["mlp"])
-        du1, dp1 = _mlp_backward(dz, p["w1"], p["w2"], cache["mlp_avg"])
-        du2, dp2 = _mlp_backward(dz, p["w1"], p["w2"], cache["mlp_max"])
-        return np.concatenate([du1, du2], axis=1), {k: dp1[k] + dp2[k] for k in dp1}
-    return dz, {}
-
-
-# ---------------------------------------------------------------------------
-# Pooling stages of the standard path (raw).
-
-
-def pool_forward_raw(kind: AttentionKind, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    v = kind.variant
+def pool_forward_raw(kind: AttentionKind, x: np.ndarray):
+    """The standard path's pooled input u and its rule `back(du) -> dx`."""
+    v, shape = kind.variant, x.shape
+    n, c = shape[:2]
     if v in ("se", "ie", "eca"):
-        return kernels.gap_forward(x), {"x_shape": x.shape}
+        return kernels.gap_forward(x), lambda du: kernels.gap_backward(du, shape)
     if v == "srm":
         mean = kernels.gap_forward(x)
         std, sc = kernels.spatial_std_forward(x)
-        return np.concatenate([mean, std], axis=1), {"x_shape": x.shape, "std": sc}
+        return np.concatenate([mean, std], axis=1), lambda du: (
+            kernels.gap_backward(du[:, :c], shape)
+            + kernels.spatial_std_backward(du[:, c:], sc))
     if v == "spa":
         parts, caches = [], []
         for g in kind.levels:
             y, pc = kernels.adaptive_avgpool_forward(x, g)
-            parts.append(y.reshape(x.shape[0], -1))
+            parts.append(y.reshape(n, -1))
             caches.append(pc)
-        return np.concatenate(parts, axis=1), {"x_shape": x.shape, "levels": caches}
+
+        def back(du):
+            dx = np.zeros(shape)
+            off = 0
+            for g, pc in zip(kind.levels, caches):
+                width = c * g * g
+                dx += kernels.adaptive_avgpool_backward(
+                    du[:, off:off + width].reshape(n, c, g, g), pc)
+                off += width
+            return dx
+        return np.concatenate(parts, axis=1), back
     if v == "cbam":
         avg = kernels.gap_forward(x)
         mx, mc = kernels.spatial_max_forward(x)
-        return np.concatenate([avg, mx], axis=1), {"x_shape": x.shape, "max": mc}
+        return np.concatenate([avg, mx], axis=1), lambda du: (
+            kernels.gap_backward(du[:, :c], shape)
+            + kernels.spatial_max_backward(du[:, c:], mc))
     raise InvariantError(f"variant {v!r} has no pooled standard path")
 
 
-def pool_backward_raw(kind: AttentionKind, cache: dict, du: np.ndarray) -> np.ndarray:
-    v = kind.variant
-    n, c, h, w = cache["x_shape"]
-    if v in ("se", "ie", "eca"):
-        return kernels.gap_backward(du, cache["x_shape"])
-    if v == "srm":
-        dx = kernels.gap_backward(du[:, :c], cache["x_shape"])
-        return dx + kernels.spatial_std_backward(du[:, c:], cache["std"])
-    if v == "spa":
-        dx = np.zeros(cache["x_shape"])
-        off = 0
-        for g, pc in zip(kind.levels, cache["levels"]):
-            width = c * g * g
-            dx += kernels.adaptive_avgpool_backward(
-                du[:, off:off + width].reshape(n, c, g, g), pc)
-            off += width
-        return dx
-    dx = kernels.gap_backward(du[:, :c], cache["x_shape"])
-    return dx + kernels.spatial_max_backward(du[:, c:], cache["max"])
+def attn_forward_raw(kind: AttentionKind, channels: int, p: dict, x: np.ndarray):
+    """(y, v, cache): x scaled by its per-sample vector v; `attn_backward_raw`
+    reads the cache."""
+    u, pool_back = pool_forward_raw(kind, x)
+    v, body_back = body_forward_raw(kind, channels, p, u)
+    return kernels.channel_scale(x, v), v, (x, v, body_back, pool_back)
 
 
-# ---------------------------------------------------------------------------
-# Full standard-attention and constant-input paths (raw).
-
-
-def attn_forward_raw(kind: AttentionKind, channels: int, p: dict, x: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, dict]:
-    u, pool_cache = pool_forward_raw(kind, x)
-    v, body_cache = body_forward_raw(kind, channels, p, u)
-    y = kernels.channel_scale(x, v)
-    return y, v, {"x": x, "v": v, "pool": pool_cache, "body": body_cache}
-
-
-def attn_backward_raw(kind: AttentionKind, channels: int, p: dict, cache: dict,
-                      dy: np.ndarray) -> tuple[np.ndarray, dict]:
-    x, v = cache["x"], cache["v"]
+def attn_backward_raw(cache: tuple, dy: np.ndarray) -> tuple[np.ndarray, dict]:
+    x, v, body_back, pool_back = cache
     dx = kernels.channel_scale(dy, v)
-    dv = (dy * x).sum(axis=(2, 3))
-    du, dp = body_backward_raw(kind, channels, p, cache["body"], dv)
-    dx += pool_backward_raw(kind, cache["pool"], du)
+    du, dp = body_back((dy * x).sum(axis=(2, 3)))
+    dx += pool_back(du)
     return dx, dp
 
 
-def asr_vector_raw(slot: AsrSlot, values: dict) -> tuple[np.ndarray, dict]:
-    psi = values[slot.psi_name]
-    v, cache = body_forward_raw(slot.kind, slot.channels, slot.gather(values),
-                                psi[None, :])
-    return v[0], cache
+def asr_vector_raw(slot: AsrSlot, values: dict):
+    """The slot's vector [C] and its body rule (for a [1, C] gradient)."""
+    v, back = body_forward_raw(slot.kind, slot.channels, slot.gather(values),
+                               values[slot.psi_name][None, :])
+    return v[0], back
 
 
-def asr_apply_raw(slot: AsrSlot, values: dict, x: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, dict]:
-    v, body_cache = asr_vector_raw(slot, values)
-    y = kernels.channel_scale(x, v)
-    return y, v, {"x": x, "v": v, "body": body_cache}
+def asr_apply_raw(slot: AsrSlot, values: dict, x: np.ndarray):
+    """(y, v, cache): x scaled by the slot's vector; `asr_backward_raw` reads
+    the cache."""
+    v, back = asr_vector_raw(slot, values)
+    return kernels.channel_scale(x, v), v, (x, v, back)
 
 
-def asr_backward_raw(slot: AsrSlot, values: dict, cache: dict, dy: np.ndarray
+def asr_backward_raw(cache: tuple, dy: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, dict]:
-    x, v = cache["x"], cache["v"]
+    """(dx, dpsi, grads by role) of one `asr_apply_raw` call."""
+    x, v, back = cache
     dx = kernels.channel_scale(dy, v)
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    dv = (dy * x).sum(axis=axes)
-    du, dp = body_backward_raw(slot.kind, slot.channels, slot.gather(values),
-                               cache["body"], dv[None, :])
+    du, dp = back((dy * x).sum(axis=axes)[None, :])
     return dx, du[0], dp
 
 
@@ -398,26 +363,39 @@ def asr_backward_raw(slot: AsrSlot, values: dict, cache: dict, dy: np.ndarray
 # Public wrappers.
 
 
+def _check_params(kind: AttentionKind, channels: int, p: dict) -> None:
+    """ShapeError naming the first role of `kind.param_shapes(channels)` that
+    `p` lacks or shapes otherwise, or a role `p` has and the body does not."""
+    shapes = kind.param_shapes(channels)
+    for role in sorted(shapes.keys() | p.keys()):
+        got, want = p.get(role), shapes.get(role)
+        if got is None or want is None or got.shape != want:
+            raise ShapeError(
+                f"{kind.variant} body for {channels} channels: tensor {role!r} "
+                f"has shape {None if got is None else got.shape}, expected {want}")
+
+
 def body_forward(kind: AttentionKind, params: dict, u) -> Tensor:
-    """v = sigmoid(F(u)) for a single pooled vector u."""
+    """v = sigmoid(F(u)) for one body input u: a constant psi or one sample's
+    pooled vector."""
     ua = as_array(u)
     if ua.ndim != 1:
         raise ShapeError(f"body_forward expects a 1-D input, got {ua.shape}")
     p = {k: as_array(t) for k, t in params.items()}
-    channels = _infer_channels(kind, p, ua.shape[0])
-    v, _ = body_forward_raw(kind, channels, p, ua[None, :])
-    return Tensor._wrap(v[0])
-
-
-def _infer_channels(kind: AttentionKind, p: dict, input_dim: int) -> int:
-    v = kind.variant
-    if v in ("se", "cbam", "spa"):
-        return p["w2"].shape[0]
-    if v == "ie":
-        return p["gamma"].shape[0]
-    if v == "srm":
-        return p["w_mean"].shape[0]
-    return input_dim  # eca and no_body keep the channel count
+    dim, error = ua.shape[0], None
+    # The channel counts whose body takes a `dim`-wide input (a constant and
+    # a pooled input differ for cbam); the tensors' shapes pick one.
+    for c in range(dim, 0, -1):
+        if dim not in (kind.body_input_dim(c, True), kind.body_input_dim(c, False)):
+            continue
+        try:
+            _check_params(kind, c, p)
+        except (ShapeError, InvariantError) as exc:
+            error = error or exc
+            continue
+        v, _ = body_forward_raw(kind, c, p, ua[None, :])
+        return Tensor._wrap(v[0])
+    raise error or ShapeError(f"no {kind.variant} body takes a {dim}-wide input")
 
 
 def attn_standard(kind: AttentionKind, params: dict, x) -> tuple[Tensor, Tensor]:
@@ -426,16 +404,22 @@ def attn_standard(kind: AttentionKind, params: dict, x) -> tuple[Tensor, Tensor]
     if xa.ndim != 4:
         raise ShapeError(f"attn_standard expects [N,C,H,W], got {xa.shape}")
     p = {k: as_array(t) for k, t in params.items()}
-    channels = _infer_channels(kind, p, xa.shape[1])
-    if channels != xa.shape[1]:
-        raise ShapeError(f"body is sized for {channels} channels, input has {xa.shape[1]}")
+    channels = xa.shape[1]
+    _check_params(kind, channels, p)
     y, v, _ = attn_forward_raw(kind, channels, p, xa)
     return Tensor._wrap(y), Tensor._wrap(v)
 
 
+def _slot_values(slot: AsrSlot, values: dict) -> dict:
+    vals = {k: as_array(t) for k, t in values.items()}
+    _check_params(slot.kind, slot.channels, {role: vals[name] for role, name in
+                                             slot.param_names.items() if name in vals})
+    return vals
+
+
 def asr_vector(slot: AsrSlot, values: dict) -> Tensor:
     """The slot's constant vector sigma(F(psi)); input-independent."""
-    v, _ = asr_vector_raw(slot, {k: as_array(t) for k, t in values.items()})
+    v, _ = asr_vector_raw(slot, _slot_values(slot, values))
     return Tensor._wrap(v)
 
 
@@ -444,7 +428,7 @@ def asr_apply(slot: AsrSlot, values: dict, x) -> Tensor:
     if xa.shape[1] != slot.channels:
         raise ShapeError(f"slot {slot.slot_id} is sized for {slot.channels} channels, "
                          f"input has {xa.shape[1]}")
-    y, _, _ = asr_apply_raw(slot, {k: as_array(t) for k, t in values.items()}, xa)
+    y, _, _ = asr_apply_raw(slot, _slot_values(slot, values), xa)
     return Tensor._wrap(y)
 
 

@@ -241,7 +241,7 @@ def _compile(graph: ModelGraph, node):
             x = ins[0]
             if train:
                 y, _, cache = attention.asr_apply_raw(slot, vals, x)
-                return y, _rule(_asr_back, slot, vals, cache)
+                return y, _rule(_asr_back, slot, cache)
             v = _slot_vector(slot, vals)
             return kernels.channel_scale(x, v if hook is None else hook(node, v)), None
         return step
@@ -255,7 +255,7 @@ def _compile(graph: ModelGraph, node):
                 w = hook(node, v)
                 if w is not v:
                     y = kernels.channel_scale(x, w)
-            return y, _rule(_attn_back, mod, p, cache) if train else None
+            return y, _rule(_attn_back, mod, cache) if train else None
         return step
     raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
 
@@ -307,15 +307,15 @@ def _add_back(dy):
     return [dy, dy], {}
 
 
-def _asr_back(dy, slot, vals, cache):
-    dx, dpsi, dp = attention.asr_backward_raw(slot, vals, cache, dy)
+def _asr_back(dy, slot, cache):
+    dx, dpsi, dp = attention.asr_backward_raw(cache, dy)
     grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
     grads[slot.psi_name] = dpsi
     return [dx], grads
 
 
-def _attn_back(dy, mod, p, cache):
-    dx, dp = attention.attn_backward_raw(mod.kind, mod.channels, p, cache, dy)
+def _attn_back(dy, mod, cache):
+    dx, dp = attention.attn_backward_raw(cache, dy)
     return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
 
 

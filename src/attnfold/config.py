@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .attention import VARIANTS
 from .errors import ConfigError
 
-_ATTENTION = ("none", "se", "ie", "srm", "spa", "eca", "cbam", "no_body")
+_ATTENTION = ("none", *VARIANTS)
 
 
 @dataclass(frozen=True)

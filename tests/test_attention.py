@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnfold import (AttentionKind, InvariantError, asr_apply, asr_vector,
+from attnfold import (AttentionKind, InvariantError, ShapeError, asr_apply, asr_vector,
                       attn_standard, body_forward, no_body_vector)
 from attnfold.attention import AsrSlot, attn_forward_raw, init_tensor, pool_forward_raw
 from attnfold.kernels import gap_forward, sigmoid
@@ -66,6 +66,63 @@ class TestBodyForward:
             values = slot_values(slot, seed=3)
             v = asr_vector(slot, values)
             assert (v.data > 0).all() and (v.data < 1).all()
+
+
+class TestWrapperShapes:
+    """The public wrappers check each tensor against `param_shapes`."""
+
+    def test_eca_kernel_longer_than_its_kind(self):
+        x = np.random.default_rng(30).standard_normal((2, 8, 3, 3))
+        with pytest.raises(ShapeError, match="'w'"):
+            attn_standard(AttentionKind("eca", kernel=3), {"w": np.ones(5)}, x)
+
+    def test_se_hidden_width_off_its_reduction(self):
+        rng = np.random.default_rng(31)
+        params = {"w1": rng.standard_normal((3, 8)), "w2": rng.standard_normal((8, 3))}
+        with pytest.raises(ShapeError, match="'w1'"):
+            body_forward(AttentionKind("se", reduction=2), params, rng.standard_normal(8))
+
+    @pytest.mark.parametrize("call", ["body_forward", "attn_standard"])
+    def test_missing_role_is_named(self, call):
+        rng = np.random.default_rng(32)
+        kind, params = AttentionKind("se", reduction=2), {"w1": rng.standard_normal((4, 8))}
+        with pytest.raises(ShapeError, match="'w2'"):
+            if call == "body_forward":
+                body_forward(kind, params, rng.standard_normal(8))
+            else:
+                attn_standard(kind, params, rng.standard_normal((2, 8, 3, 3)))
+
+    def test_slot_wrappers_check_their_body(self):
+        slot = make_slot(AttentionKind("se", reduction=2))
+        x = np.random.default_rng(36).standard_normal((2, 8, 3, 3))
+        missing = {"s.psi": np.zeros(8), "s.w1": np.zeros((4, 8))}
+        narrow = {**missing, "s.w1": np.zeros((3, 8)), "s.w2": np.zeros((8, 3))}
+        for values, role in ((missing, "'w2'"), (narrow, "'w1'")):
+            with pytest.raises(ShapeError, match=role):
+                asr_vector(slot, values)
+            with pytest.raises(ShapeError, match=role):
+                asr_apply(slot, values, x)
+
+    def test_extra_role_is_named(self):
+        x = np.random.default_rng(33).standard_normal((2, 4, 3, 3))
+        params = {"gamma": np.ones(4), "beta": np.zeros(4), "w": np.ones(3)}
+        with pytest.raises(ShapeError, match="'w'"):
+            attn_standard(AttentionKind("ie"), params, x)
+
+    def test_body_sized_for_other_channels(self):
+        x = np.random.default_rng(34).standard_normal((2, 4, 3, 3))
+        with pytest.raises(ShapeError, match="'beta'"):
+            attn_standard(AttentionKind("ie"), {"gamma": np.ones(6), "beta": np.ones(6)}, x)
+
+    def test_cbam_body_takes_a_constant_or_a_pooled_input(self):
+        rng = np.random.default_rng(35)
+        p = {"w1": rng.standard_normal((2, 4)), "w2": rng.standard_normal((4, 2))}
+        u = rng.standard_normal(8)
+        mlp = lambda t: p["w2"] @ np.maximum(p["w1"] @ t, 0.0)
+        v = body_forward(AttentionKind("cbam", reduction=2), p, u)
+        np.testing.assert_allclose(v.data, sigmoid(mlp(u[:4]) + mlp(u[4:])), atol=1e-14)
+        with pytest.raises(ShapeError, match="no srm body takes a 7-wide input"):
+            body_forward(AttentionKind("srm"), {}, np.ones(7))
 
 
 class TestAttnStandard:

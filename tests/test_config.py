@@ -101,3 +101,11 @@ class TestOverrides:
         cfg = parse_config(BASE)
         with pytest.raises(ConfigError, match="section.key"):
             apply_overrides(cfg, ["width=3"])
+
+
+def test_every_attention_variant_is_a_config_value():
+    from attnfold.attention import VARIANTS
+    for name in ("none", *VARIANTS):
+        assert parse_config(f"[model]\nattention = {name}\n").model.attention == name
+    with pytest.raises(ConfigError, match="unknown attention 'sk'"):
+        parse_config("[model]\nattention = sk\n")
