@@ -116,8 +116,8 @@ def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,
     1 + alpha_t ||W_t||_2 is an upper bound on the block's amplification up
     to rounding.
     """
-    if eps <= 0:
-        raise InvariantError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise InvariantError(f"eps must be positive and finite, got {eps}")
     blocks = chain_blocks(graph)
     x0a = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0a.shape != tuple(graph.input_shape):

@@ -14,7 +14,7 @@ import numpy as np
 from . import attention, kernels
 from .errors import GraphError, InvariantError, StateError
 from .graph import BN_EPS, BN_MOMENTUM, ModelGraph
-from .tensor import Tensor, as_array, identity_get, identity_put, immutable_memo
+from .tensor import Tensor, as_array, immutable_memo
 
 
 @dataclass
@@ -82,8 +82,8 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     place; a bn node passes None, and a returned (scale, shift) maps its
     normalized activation xhat to xhat * scale + shift.
 
-    The graph runs as a compiled `_Plan`, reused while the graph's structure
-    is unchanged (see `_plan`). A slot whose psi and body tensors are all
+    Each call compiles one step per node (`_compile`) from the graph as it
+    stands, so any rewrite is seen. A slot whose psi and body tensors are all
     held in immutable `bytes` (a loaded checkpoint) computes its eval-mode
     vector once (`tensor.immutable_memo`); the vector is read-only.
     """
@@ -93,16 +93,29 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     if xa.shape[1:] != tuple(graph.input_shape):
         raise GraphError(f"input shape {xa.shape[1:]} does not match graph input "
                          f"{tuple(graph.input_shape)}")
-    plan = _plan(graph)
-    release = plan.release(keep)
+    nodes = graph.nodes
+    steps = [_compile(graph, node) for node in nodes[1:]]
+    # Per node, the values it is the last consumer of, bar the kept ones.
+    kept = {*keep, graph.output_name}
+    last_use: dict[str, int] = {}
+    for pos, node in enumerate(nodes):
+        last_use[node.name] = pos
+        last_use.update(dict.fromkeys(node.inputs, pos))
+    unknown = sorted(kept - last_use.keys())
+    if unknown:
+        raise GraphError(f"keep names unknown node {unknown[0]!r}")
+    release: list[list[str]] = [[] for _ in nodes]
+    for name, pos in last_use.items():
+        if name not in kept:
+            release[pos].append(name)
     train = mode == "train"
     if train and hook is not None:
         raise InvariantError("a forward hook is eval-only; train mode takes none")
     vals = params.values
-    values: dict[str, np.ndarray] = {plan.input_name: xa}
+    values: dict[str, np.ndarray] = {nodes[0].name: xa}
     entries: list[TapeNode] = []
-    for (node, inputs, step), dead in zip(plan.steps, release):
-        ins = [values[i] for i in inputs]
+    for node, step, dead in zip(nodes[1:], steps, release[1:]):
+        ins = [values[i] for i in node.inputs]
         try:
             values[node.name], back = step(vals, ins, train, hook)
         except GraphError:
@@ -116,69 +129,9 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
         # Drop the local list too, so a released input does not live on
         # through the next node.
         del ins
-    logits = values[plan.output_name]
+    logits = values[graph.output_name]
     return Tensor._wrap(logits), Tape(mode=mode, graph=graph, params=params,
                                       values=values, entries=entries)
-
-
-class _Plan:
-    """What `forward` needs that depends on the graph's structure only: one
-    step per node after the input (`_compile`), and per `keep` set the
-    values each position releases. It holds no parameter: a step reads
-    its tensors by name when it runs."""
-
-    RELEASES_MAX = 8
-
-    def __init__(self, graph: ModelGraph):
-        nodes = graph.nodes
-        self.input_name, self.output_name = nodes[0].name, graph.output_name
-        self.steps = [(node, tuple(node.inputs), _compile(graph, node))
-                      for node in nodes[1:]]
-        self.last_use: dict[str, int] = {}
-        for pos, node in enumerate(nodes):
-            self.last_use[node.name] = pos
-            self.last_use.update(dict.fromkeys(node.inputs, pos))
-        self.releases: dict[frozenset, list[list[str]]] = {}
-
-    def release(self, keep) -> list[list[str]]:
-        """Per step, the values dead once it has run, keeping `keep` and the output."""
-        kept = frozenset((*keep, self.output_name))
-        found = self.releases.get(kept)
-        if found is not None:
-            return found
-        unknown = sorted(kept - self.last_use.keys())
-        if unknown:
-            raise GraphError(f"keep names unknown node {unknown[0]!r}")
-        release: list[list[str]] = [[] for _ in self.steps]
-        for name, pos in self.last_use.items():
-            if pos and name not in kept:
-                release[pos - 1].append(name)
-        if len(self.releases) >= self.RELEASES_MAX:
-            del self.releases[next(iter(self.releases))]
-        self.releases[kept] = release
-        return release
-
-
-# Compiled plans by graph identity: (id(graph),) -> (weak references,
-# (structural fingerprint, plan)). Oldest first; a dead graph's entry goes.
-_PLANS_MAX = 16
-_PLANS: dict[tuple, tuple] = {}
-
-
-def _plan(graph: ModelGraph) -> _Plan:
-    """The graph's compiled plan, built again after any change to node
-    names, kinds, inputs or attrs, or to which slot and module objects the
-    graph holds (an in-place rewrite such as `graph.remove_node` included)."""
-    fingerprint = (tuple((n.name, n.kind, tuple(n.inputs), tuple(n.attrs.items()))
-                         for n in graph.nodes),
-                   tuple(graph.slots.items()), tuple(graph.modules.items()))
-    key = (id(graph),)
-    found = identity_get(_PLANS, key, (graph,))
-    if found is not None and found[0] == fingerprint:
-        return found[1]
-    plan = _Plan(graph)
-    identity_put(_PLANS, key, (graph,), (fingerprint, plan), _PLANS_MAX)
-    return plan
 
 
 def _compile(graph: ModelGraph, node):

@@ -152,13 +152,11 @@ def cmd_verify(args) -> int:
 def cmd_stripe(args) -> int:
     records = read_stripes(Path(args.records))
     epochs = sorted({r.epoch for r in records})
-    run = make_run_dir(args.out_root, args.seed)
     std_rows = []
     for epoch in epochs:
         for module, stds in stripe_channel_std(records, epoch).items():
             for c, s in enumerate(stds):
                 std_rows.append([module, epoch, c, float(s)])
-    write_csv(run / "stripe_std.csv", ["module", "epoch", "channel", "std"], std_rows)
     fd = stripe_first_diff(records, threshold=args.threshold)
     diff_rows = []
     for (module, probe), deltas in sorted(fd.deltas.items()):
@@ -166,13 +164,16 @@ def cmd_stripe(args) -> int:
             for c in range(deltas.shape[1]):
                 diff_rows.append([module, probe, c, fd.epochs[i], fd.epochs[i + 1],
                                   float(deltas[i, c])])
-    write_csv(run / "stripe_first_diff.csv",
-              ["module", "probe", "channel", "epoch_from", "epoch_to", "delta"],
-              diff_rows)
     conv_rows = []
     for (module, probe), conv in sorted(fd.convergence.items()):
         for c, e in enumerate(conv):
             conv_rows.append([module, probe, c, int(e)])
+    # Only summaries that were all computed leave a run directory.
+    run = make_run_dir(args.out_root, args.seed)
+    write_csv(run / "stripe_std.csv", ["module", "epoch", "channel", "std"], std_rows)
+    write_csv(run / "stripe_first_diff.csv",
+              ["module", "probe", "channel", "epoch_from", "epoch_to", "delta"],
+              diff_rows)
     write_csv(run / "stripe_convergence.csv",
               ["module", "probe", "channel", "convergence_epoch"], conv_rows)
     print(f"wrote {run}")
@@ -196,7 +197,8 @@ def cmd_perturb(args) -> int:
     eps_list = [float(e) for e in args.eps.split(",") if e]
     if not eps_list:
         raise ConfigError("at least one eps value is required")
-    run = make_run_dir(args.out_root, args.seed)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     rows = []
     rng = np.random.default_rng(args.seed)
     for eps in eps_list:
@@ -212,6 +214,8 @@ def cmd_perturb(args) -> int:
                 prev = row.eps_t
             rows.append([eps, trial, -1, trace.eps, trace.eps_final, "", "",
                          trace.bound_product, int(trace.product_holds())])
+    # Only a sweep that ran leaves a run directory.
+    run = make_run_dir(args.out_root, args.seed)
     write_csv(run / "perturbation_trace.csv",
               ["eps", "trial", "block", "eps_in", "eps_out", "alpha", "w_norm",
                "factor", "holds"], rows)
@@ -263,7 +267,6 @@ def strip_attention(graph: ModelGraph, params):
 def cmd_bench(args) -> int:
     graph, params = load_checkpoint(args.checkpoint)
     shape = tuple(int(d) for d in args.input_shape.split(","))
-    run = make_run_dir(args.out_root, args.seed)
     rows = []
     res = bench(graph, params, shape, warmup=args.warmup, iters=args.iters,
                 seed=args.seed)
@@ -279,6 +282,8 @@ def cmd_bench(args) -> int:
                  iters=args.iters, seed=args.seed)
     rows.append(["baseline", bres.param_count, bres.macs, bres.samples_per_s,
                  bres.median_s])
+    # Only a benchmark that ran leaves a run directory.
+    run = make_run_dir(args.out_root, args.seed)
     write_csv(run / "bench.csv",
               ["variant", "params", "macs", "samples_per_s", "median_s"], rows)
     print(f"wrote {run}")

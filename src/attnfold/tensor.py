@@ -6,7 +6,6 @@ flip). Operations are pure: tensors are immutable values once constructed.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from dataclasses import dataclass
 
@@ -211,9 +210,6 @@ class ConvOperator:
         return dx.reshape(-1)
 
 
-# Exact matrix norms by content digest (see `spectral_norm`), oldest first.
-_MATRIX_NORMS_MAX = 256
-_MATRIX_NORMS: dict[bytes, float] = {}
 # Facts about arrays held in immutable `bytes`, by identity (`immutable_memo`):
 # key -> (weak references to the arrays, fact). Oldest first.
 _IMMUTABLE_KEYS_MAX = 256
@@ -228,33 +224,6 @@ def in_bytes(a: np.ndarray) -> bool:
     return type(a.base) is bytes
 
 
-def identity_get(table: dict, key: tuple, objs):
-    """The value `identity_put` stored under `key` for these very objects,
-    or None; an entry for a dead object whose id was recycled misses."""
-    entry = table.get(key)
-    if entry is None:
-        return None
-    for ref, obj in zip(entry[0], objs):
-        if ref() is not obj:
-            return None
-    return entry[1]
-
-
-def identity_put(table: dict, key: tuple, objs, value, cap: int):
-    """Store `value` (never None) under `key`, holding `objs` by weak
-    reference only: the entry leaves the table when any of them dies, and
-    the oldest entries leave while the table holds `cap`. Returns value."""
-    def drop(ref):
-        entry = table.get(key)
-        if entry is not None and any(r is ref for r in entry[0]):
-            table.pop(key, None)
-    table.pop(key, None)
-    while len(table) >= cap:
-        table.pop(next(iter(table)), None)
-    table[key] = (tuple(weakref.ref(o, drop) for o in objs), value)
-    return value
-
-
 def immutable_memo(what, arrays, compute):
     """`compute()`, a fact named `what` about `arrays`, computed once for as
     long as they live when every one is held in immutable `bytes`
@@ -263,26 +232,31 @@ def immutable_memo(what, arrays, compute):
     The key is `what` plus each array's id, shape, strides and dtype, all an
     array object can change about itself (its data address is fixed). The
     table holds the arrays by weak reference only, so it keeps no payload
-    alive, an entry goes with its arrays, and a recycled id misses.
+    alive, an entry goes with its arrays, and a recycled id misses. It holds
+    at most `_IMMUTABLE_KEYS_MAX` entries, dropping the oldest first.
     """
     if not all(map(in_bytes, arrays)):
         return compute()
     key = (what, *[(id(a), a.shape, a.strides, a.dtype) for a in arrays])
-    found = identity_get(_IMMUTABLE_KEYS, key, arrays)
-    if found is None:
-        found = identity_put(_IMMUTABLE_KEYS, key, arrays, compute(), _IMMUTABLE_KEYS_MAX)
-    return found
+    entry = _IMMUTABLE_KEYS.get(key)
+    if entry is not None and all(ref() is a for ref, a in zip(entry[0], arrays)):
+        return entry[1]
+    fact = compute()
+
+    def drop(ref):
+        entry = _IMMUTABLE_KEYS.get(key)
+        if entry is not None and any(r is ref for r in entry[0]):
+            _IMMUTABLE_KEYS.pop(key, None)
+    _IMMUTABLE_KEYS.pop(key, None)
+    while len(_IMMUTABLE_KEYS) >= _IMMUTABLE_KEYS_MAX:
+        _IMMUTABLE_KEYS.pop(next(iter(_IMMUTABLE_KEYS)), None)
+    _IMMUTABLE_KEYS[key] = (tuple(weakref.ref(a, drop) for a in arrays), fact)
+    return fact
 
 
 def all_finite(a: np.ndarray) -> bool:
     """Whether a has no NaN or Inf; checked once for immutable arrays."""
     return immutable_memo("finite", (a,), lambda: bool(np.isfinite(a).all()))
-
-
-def _content_key(w: np.ndarray) -> bytes:
-    digest = hashlib.sha256(f"{w.dtype.str}{w.shape}".encode())
-    digest.update(w)
-    return digest.digest()
 
 
 def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
@@ -297,31 +271,21 @@ def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> flo
     below, its error shrinking by (s2/s1)^2 per step, so a near-tied leading
     pair of singular values slows it. Returns 0 for the zero operator.
 
-    Matrix norms are memoised by content: the key is a SHA-256 digest of the
-    dtype, shape and bytes of the matrix, so a repeated call on equal
-    content, whether the same array or a copy, skips the eigen-solve, and a
-    matrix changed in place is solved afresh. A hit returns the float the
-    uncached solve returned, bit for bit. The table keeps no copy of any
-    matrix and holds at most `_MATRIX_NORMS_MAX` entries, dropping the
-    oldest first. Implicit operators are never memoised.
-
     A matrix held in immutable `bytes` (every tensor `load_checkpoint`
-    returns) cannot change, so its digest is taken once and found again by
-    identity (`immutable_memo`). Every other array is digested on every call.
+    returns) cannot change, so its norm is solved once and found again by
+    identity (`immutable_memo`); every other matrix is solved on every call,
+    so one changed in place is solved afresh. Implicit operators are never
+    memoised.
     """
     if iters < 1:
         raise InvariantError(f"iters must be >= 1, got {iters}")
     if isinstance(op, MatrixOperator):
         w = op.w
-        key = immutable_memo("digest", (w,), lambda: _content_key(w))
-        norm = _MATRIX_NORMS.get(key)
-        if norm is None:
+
+        def solve():
             gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
-            norm = float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
-            if len(_MATRIX_NORMS) >= _MATRIX_NORMS_MAX:
-                del _MATRIX_NORMS[next(iter(_MATRIX_NORMS))]
-            _MATRIX_NORMS[key] = norm
-        return norm
+            return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
+        return immutable_memo("norm", (w,), solve)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.input_size)
     v /= np.linalg.norm(v)

@@ -161,6 +161,13 @@ class TestPerturbTrace:
         with pytest.raises(GraphError):
             perturb_trace(g, p, np.zeros((3, 6, 6)), eps=1e-2, seed=0)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        g = build_residual_chain(2, 8, psi_seed=0)
+        p = init_params(g, seed=0)
+        with pytest.raises(InvariantError, match="eps must be positive and finite"):
+            perturb_trace(g, p, np.zeros(8), eps=eps, seed=0)
+
 
 @pytest.fixture(scope="module")
 def trained_bn_model():

@@ -1,7 +1,7 @@
 """The names the benchmark binds to: every traced layer in
 `perfbench/layers.py` is a callable of its attnfold module, and a train step
-calls the traced slot functions once per slot (the train workload's
-expected call counts). The benchmark files are read, not changed."""
+and a perturb sweep make the traced calls the train and perturb workloads
+expect. The benchmark files are read, not changed."""
 
 import importlib
 import importlib.util
@@ -10,17 +10,23 @@ from pathlib import Path
 import pytest
 
 import attnfold.attention as attention_mod
+from attnfold import cli
 from attnfold.config import DataSpec, ModelSpec, RunConfig, TrainSpec
 from attnfold.train import build_model, train
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bench_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.TARGETS
+    return perfbench_module("layers").TARGETS
 
 
 @pytest.mark.parametrize("target", bench_targets())
@@ -45,3 +51,22 @@ def test_train_step_calls_each_slot_function_once_per_slot(monkeypatch):
         monkeypatch.setattr(attention_mod, name, counted)
     train(cfg)
     assert calls == {"asr_apply_raw": 2, "asr_backward_raw": 2}
+
+
+def test_perturb_sweep_calls_one_norm_per_block_of_each_trace(tmp_path):
+    # `PerturbWorkload.expected_calls`: one trace per eps x trial, and one
+    # spectral norm per block of each trace, so hoisting the norms out of
+    # `perturb_trace` fails here before it fails the benchmark's self-check.
+    ckpt = tmp_path / "chain.ckpt"
+    assert cli.main(["chain", str(ckpt), "--depth", "3", "--width", "8"]) == 0
+    tracer = perfbench_module("tracer").Tracer(
+        ["analysis.perturb_trace", "tensor.spectral_norm", "autodiff.forward"])
+    tracer.install()
+    try:
+        rc = cli.main(["--out-root", str(tmp_path / "runs"), "perturb", str(ckpt),
+                       "--eps", "0.01,0.1", "--trials", "2"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert {name: tracer.calls(name) for name in tracer.targets} == {
+        "analysis.perturb_trace": 4, "tensor.spectral_norm": 12, "autodiff.forward": 4}

@@ -394,6 +394,16 @@ class TestStripeCommand:
                      "stripe_convergence.csv"):
             assert (sd / name).exists()
 
+    def test_one_epoch_records_exit_1(self, workspace, capsys):
+        root, cfg = workspace
+        out = root / "runs"
+        run(["--out-root", out, "train", cfg, "--set", "train.stripe_probes=3",
+             "--set", "model.attention_mode=standard", "--set", "train.epochs=1"])
+        capsys.readouterr()
+        assert run(["--out-root", root / "sruns", "stripe", only_run_dir(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list((root / "sruns").glob("*"))
+
 
 class TestChainPerturb:
     def test_chain_and_perturb(self, workspace):
@@ -419,6 +429,23 @@ class TestChainPerturb:
         ckpt = only_run_dir(out) / "checkpoint.ckpt"
         assert run(["--out-root", root / "p", "perturb", ckpt]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["--trials", 0], "--trials"),
+        (["--trials", -2], "--trials"),
+        (["--eps", "nan"], "eps"),
+        (["--eps", "inf"], "eps"),
+        (["--eps", "0.01,-0.1"], "eps"),
+    ], ids=["zero-trials", "negative-trials", "nan-eps", "inf-eps", "negative-eps"])
+    def test_rejected_sweep_exits_1(self, workspace, capsys, args, named):
+        root, _ = workspace
+        ckpt = root / "chain.ckpt"
+        assert run(["chain", ckpt, "--depth", 2, "--width", 8]) == 0
+        capsys.readouterr()
+        assert run(["--out-root", root / "runs", "perturb", ckpt] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not list((root / "runs").glob("*"))
 
 
 class TestNoiseCommand:
@@ -489,6 +516,20 @@ class TestBenchCommand:
         fused = lines[2].split(",")
         base = lines[3].split(",")
         assert fused[1] == base[1] and fused[2] == base[2]
+
+    @pytest.mark.parametrize("args", [["--iters", 0], ["--input-shape", "2,9"]],
+                             ids=["zero-iters", "wrong-width"])
+    def test_rejected_bench_exits_1(self, workspace, capsys, args):
+        root, _ = workspace
+        ckpt = root / "chain.ckpt"
+        assert run(["chain", ckpt, "--depth", 2, "--width", 8]) == 0
+        bench = ["--out-root", root / "bruns", "bench", ckpt, "--input-shape", "2,8",
+                 "--warmup", 1, "--iters", 2]
+        capsys.readouterr()
+        assert run(bench + args) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list((root / "bruns").glob("*"))
+        assert run(bench) == 0   # the same command without `args` runs
 
 
 class TestAblateCommand:

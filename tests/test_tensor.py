@@ -1,6 +1,6 @@
 """tensor-core: kernels against naive loop oracles, plus type invariants."""
 
-import hashlib
+import gc
 import tracemalloc
 
 import numpy as np
@@ -306,9 +306,15 @@ def svd_norm(w):
 class TestSpectralNormPaths:
     """Explicit matrices take the exact path; implicit convs power-iterate."""
 
-    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (7, 7), (3, 64), (64, 3)])
-    def test_matrix_exact_against_svd(self, shape):
+    @pytest.mark.parametrize("shape, transpose",
+                             [((5, 9), False), ((9, 5), False), ((7, 7), False),
+                              ((3, 64), False), ((64, 3), False), ((9, 5), True)],
+                             ids=["shape0", "shape1", "shape2", "shape3", "shape4",
+                                  "transposed-view"])
+    def test_matrix_exact_against_svd(self, shape, transpose):
         w = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if transpose:
+            w = w.T
         oracle = svd_norm(w)
         assert abs(spectral_norm(MatrixOperator(w)) - oracle) <= 1e-12 * oracle
 
@@ -323,9 +329,9 @@ class TestSpectralNormPaths:
 
     @pytest.fixture
     def memo(self, monkeypatch):
-        """An empty norm table for this test, and a count of eigen-solves."""
+        """An empty identity memo for this test, and a count of eigen-solves."""
         table = {}
-        monkeypatch.setattr(tensor_mod, "_MATRIX_NORMS", table)
+        monkeypatch.setattr(tensor_mod, "_IMMUTABLE_KEYS", table)
         solves = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -335,13 +341,6 @@ class TestSpectralNormPaths:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return table, solves
-
-    def test_equal_content_solves_once(self, memo):
-        table, solves = memo
-        w = np.random.default_rng(20).standard_normal((128, 128))
-        norms = {spectral_norm(MatrixOperator(w.copy())) for _ in range(30)}
-        assert len(solves) == 1 and len(table) == 1 and len(norms) == 1
-        assert abs(norms.pop() - svd_norm(w)) <= 1e-12 * svd_norm(w)
 
     def test_in_place_change_is_solved_afresh(self, memo):
         _, solves = memo
@@ -354,42 +353,24 @@ class TestSpectralNormPaths:
         assert abs(after - svd_norm(w)) <= 1e-12 * svd_norm(w)
         assert len(solves) == 2
 
-    def test_shape_is_part_of_the_key(self, memo):
-        table, _ = memo
-        flat = np.random.default_rng(22).standard_normal(128 * 128)
-        for shape in [(64, 256), (128, 128)]:
-            w = flat.reshape(shape)
-            assert abs(spectral_norm(MatrixOperator(w)) - svd_norm(w)) <= 1e-12 * svd_norm(w)
-        assert len(table) == 2
-        assert len(set(table.values())) == 2
-
-    @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (7, 7), (3, 64), (64, 3)])
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_cached_equals_fresh(self, memo, shape, transpose):
-        table, solves = memo
-        w = np.random.default_rng(sum(shape)).standard_normal(shape)
-        if transpose:
-            w = w.T
-        fresh = spectral_norm(MatrixOperator(w))
-        cached = spectral_norm(MatrixOperator(w))
-        table.clear()
-        again = spectral_norm(MatrixOperator(np.array(w)))
-        assert len(solves) == 2
-        assert fresh == cached == again
-        assert abs(cached - svd_norm(w)) <= 1e-12 * svd_norm(w)
-
     def test_table_is_bounded_and_keeps_no_matrix(self, memo):
         table, _ = memo
         rng = np.random.default_rng(23)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for _ in range(300):
-                spectral_norm(MatrixOperator(rng.standard_normal((128, 128))))
+            # Matrices viewing immutable bytes, as loaded checkpoint tensors do.
+            loaded = [np.frombuffer(rng.standard_normal(128 * 128).tobytes()).reshape(128, 128)
+                      for _ in range(300)]
+            for w in loaded:
+                spectral_norm(MatrixOperator(w))
+            assert len(table) == tensor_mod._IMMUTABLE_KEYS_MAX
+            del loaded, w
+            gc.collect()
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert len(table) == tensor_mod._MATRIX_NORMS_MAX
+        assert not table
         assert held < 100_000
 
     @pytest.mark.parametrize("ksize", [1, 3, 5])
@@ -422,27 +403,21 @@ class TestSpectralNormPaths:
 
 
 class TestLoadedMatrixMemo:
-    """A matrix loaded from a checkpoint is digested once, then found by identity."""
+    """A matrix loaded from a checkpoint is solved once, then found by identity."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        """Empty memo tables for this test, and counts of digests and eigen-solves."""
-        monkeypatch.setattr(tensor_mod, "_MATRIX_NORMS", {})
+    def solves(self, monkeypatch):
+        """An empty identity memo for this test, and a count of eigen-solves."""
         monkeypatch.setattr(tensor_mod, "_IMMUTABLE_KEYS", {})
-        digests, solves = [], []
-        sha256, eigvalsh = hashlib.sha256, np.linalg.eigvalsh
-
-        def counting_sha256(*args, **kwargs):
-            digests.append(1)
-            return sha256(*args, **kwargs)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(a, *args, **kwargs):
             solves.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        return digests, solves
+        return solves
 
     @staticmethod
     def loaded_chain(path, seed, width=128):
@@ -450,15 +425,14 @@ class TestLoadedMatrixMemo:
         save_checkpoint(path, g, init_params(g, seed=seed))
         return load_checkpoint(path)[1].values["block0.lin.w"]
 
-    def test_loaded_matrix_digested_once(self, counts, tmp_path):
-        digests, solves = counts
+    def test_loaded_matrix_solved_once(self, solves, tmp_path):
         w = self.loaded_chain(tmp_path / "c.ckpt", seed=3)
         norms = {spectral_norm(MatrixOperator(w)) for _ in range(30)}
-        assert len(digests) == 1 and len(solves) == 1 and len(norms) == 1
+        assert len(solves) == 1 and len(norms) == 1
         assert abs(next(iter(norms)) - svd_norm(w)) <= 1e-12 * svd_norm(w)
         writable = w.copy()
         copies = {spectral_norm(MatrixOperator(writable)) for _ in range(30)}
-        assert len(digests) == 31 and len(solves) == 1 and copies == norms
+        assert len(solves) == 31 and copies == norms
 
     def test_recycled_ids_never_hit(self, tmp_path):
         # Loading the same-sized file again tends to reuse the dropped arrays'
