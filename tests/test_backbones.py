@@ -1,5 +1,8 @@
 """backbones: parameter-count oracles, position/kind coverage, chains."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,24 @@ class TestBuilders:
         spec = AttachSpec(kind=AttentionKind("se", reduction=2), mode="standard")
         g = build_toy_resnet(2, 4, 3, spec, image_size=6)
         assert len(g.modules) == 2 and not g.slots
+
+    def test_graph_json_is_pinned(self):
+        """Node names and order, slot and module ids and psi seeds of every
+        builder placement, pinned by digest: 2 builders x 1-3 blocks x (no
+        attachment, kind None, 2 modes x 4 positions x delta 1-2)."""
+        kind = AttentionKind("se", reduction=2)
+        specs = [None, AttachSpec()] + [
+            AttachSpec(kind=kind, mode=mode, position=pos, delta=d, psi_seed=5)
+            for mode in ("asr", "standard") for pos in POSITIONS for d in (1, 2)]
+        digest = hashlib.sha256()
+        for builder in (build_toy_resnet, build_toy_vgg):
+            for blocks in (1, 2, 3):
+                for spec in specs:
+                    g = builder(blocks, 4, 3, spec)
+                    digest.update(json.dumps(g.to_dict(), sort_keys=True,
+                                             separators=(",", ":")).encode())
+        assert digest.hexdigest() == (
+            "7ab04dfd61add972be42cb10b30df20af15cbbc6aa65b3222c8d0ce7571cd883")
 
 
 class TestResidualChain:
