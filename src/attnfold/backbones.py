@@ -7,6 +7,7 @@ chains x_{t+1} = x_t + relu(W_t x_t) * v_t feed the perturbation tracer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .attention import AsrSlot, AttentionKind, AttnModule, POSITIONS
@@ -40,10 +41,17 @@ class AttachSpec:
             raise InvariantError("the body-less variant exists only on the constant-input path")
 
 
-def _attach(graph: ModelGraph, nodes: list[LayerNode], spec: AttachSpec,
-            upstream: str, block: str, channels: int) -> str:
-    """Insert delta attention nodes after `upstream`; returns the new tail name."""
-    tail = upstream
+def _append(graph: ModelGraph, spec: AttachSpec | None, block: str, name: str,
+            kind: str, inputs: list[str], attrs: dict | None = None,
+            tags: tuple[str, ...] = ()) -> str:
+    """Append node `block.name`; if `spec` attaches a kind at one of `tags`,
+    insert spec.delta slots (asr) or modules (standard) over the graph's width
+    after it. Returns the new tail's name."""
+    tail = f"{block}.{name}"
+    graph.nodes.append(LayerNode(tail, kind, inputs, attrs or {}))
+    if spec is None or spec.kind is None or spec.position not in tags:
+        return tail
+    channels = graph.meta["width"]
     for d in range(spec.delta):
         if spec.mode == "asr":
             sid = f"{block}.asr{d}"
@@ -51,14 +59,14 @@ def _attach(graph: ModelGraph, nodes: list[LayerNode], spec: AttachSpec,
                                        position=spec.position, delta_index=d,
                                        psi_mode=spec.psi_mode, psi_init=spec.psi_init,
                                        psi_seed=spec.psi_seed + d)
-            nodes.append(LayerNode(sid, "asr", [tail], {"slot": sid}))
+            graph.nodes.append(LayerNode(sid, "asr", [tail], {"slot": sid}))
         else:
             mid = f"{block}.attn{d}"
             graph.modules[mid] = AttnModule(module_id=mid, kind=spec.kind,
                                             channels=channels, position=spec.position,
                                             delta_index=d)
-            nodes.append(LayerNode(mid, "attn", [tail], {"module": mid}))
-        tail = nodes[-1].name
+            graph.nodes.append(LayerNode(mid, "attn", [tail], {"module": mid}))
+        tail = graph.nodes[-1].name
     return tail
 
 
@@ -74,42 +82,26 @@ def build_toy_resnet(depth_blocks: int, width: int, classes: int,
         raise InvariantError(f"depth_blocks must be >= 1, got {depth_blocks}")
     if width < 1 or classes < 1:
         raise InvariantError("width and classes must be positive")
-    spec = asr if asr is not None and asr.kind is not None else None
     graph = ModelGraph(nodes=[], input_shape=(in_channels, image_size, image_size),
                        classes=classes, meta={"arch": "resnet", "width": width,
                                               "blocks": depth_blocks})
-    nodes = graph.nodes
-    nodes.append(LayerNode("input", "input"))
-    nodes.append(LayerNode("stem.conv", "conv", ["input"], _conv_attrs(in_channels, width)))
-    nodes.append(LayerNode("stem.bn", "bn", ["stem.conv"], {"channels": width}))
-    nodes.append(LayerNode("stem.relu", "relu", ["stem.bn"]))
-    tail = "stem.relu"
+    add = functools.partial(_append, graph, asr)
+    graph.nodes.append(LayerNode("input", "input"))
+    tail = add("stem", "conv", "conv", ["input"], _conv_attrs(in_channels, width))
+    tail = add("stem", "bn", "bn", [tail], {"channels": width})
+    tail = add("stem", "relu", "relu", [tail])
     for t in range(depth_blocks):
-        blk = f"block{t}"
-        skip = tail
-        nodes.append(LayerNode(f"{blk}.conv1", "conv", [tail], _conv_attrs(width, width)))
-        tail = f"{blk}.conv1"
-        if spec and spec.position == "after_conv1":
-            tail = _attach(graph, nodes, spec, tail, blk, width)
-        nodes.append(LayerNode(f"{blk}.bn1", "bn", [tail], {"channels": width}))
-        tail = f"{blk}.bn1"
-        if spec and spec.position == "after_bn1":
-            tail = _attach(graph, nodes, spec, tail, blk, width)
-        nodes.append(LayerNode(f"{blk}.relu1", "relu", [tail]))
-        tail = f"{blk}.relu1"
-        if spec and spec.position == "after_relu":
-            tail = _attach(graph, nodes, spec, tail, blk, width)
-        nodes.append(LayerNode(f"{blk}.conv2", "conv", [tail], _conv_attrs(width, width)))
-        nodes.append(LayerNode(f"{blk}.bn2", "bn", [f"{blk}.conv2"], {"channels": width}))
-        tail = f"{blk}.bn2"
-        if spec and spec.position == "after_last_bn":
-            tail = _attach(graph, nodes, spec, tail, blk, width)
-        nodes.append(LayerNode(f"{blk}.add", "add", [skip, tail]))
-        nodes.append(LayerNode(f"{blk}.relu2", "relu", [f"{blk}.add"]))
-        tail = f"{blk}.relu2"
-    nodes.append(LayerNode("gap", "gap", [tail]))
-    nodes.append(LayerNode("head", "linear", ["gap"],
-                           {"in_dim": width, "out_dim": classes}))
+        blk, skip = f"block{t}", tail
+        tail = add(blk, "conv1", "conv", [tail], _conv_attrs(width, width), ("after_conv1",))
+        tail = add(blk, "bn1", "bn", [tail], {"channels": width}, ("after_bn1",))
+        tail = add(blk, "relu1", "relu", [tail], tags=("after_relu",))
+        tail = add(blk, "conv2", "conv", [tail], _conv_attrs(width, width))
+        tail = add(blk, "bn2", "bn", [tail], {"channels": width}, ("after_last_bn",))
+        tail = add(blk, "add", "add", [skip, tail])
+        tail = add(blk, "relu2", "relu", [tail])
+    graph.nodes.append(LayerNode("gap", "gap", [tail]))
+    graph.nodes.append(LayerNode("head", "linear", ["gap"],
+                                 {"in_dim": width, "out_dim": classes}))
     validate_graph(graph)
     return graph
 
@@ -126,34 +118,23 @@ def build_toy_vgg(stages: int, width: int, classes: int,
         raise InvariantError(f"stages must be >= 1, got {stages}")
     if image_size % (2 ** stages) != 0:
         raise InvariantError(f"image size {image_size} not divisible by 2^{stages}")
-    spec = asr if asr is not None and asr.kind is not None else None
     graph = ModelGraph(nodes=[], input_shape=(in_channels, image_size, image_size),
                        classes=classes, meta={"arch": "vgg", "width": width,
                                               "stages": stages})
-    nodes = graph.nodes
-    nodes.append(LayerNode("input", "input"))
-    tail = "input"
-    ch = in_channels
+    add = functools.partial(_append, graph, asr)
+    graph.nodes.append(LayerNode("input", "input"))
+    tail, ch = "input", in_channels
     for s in range(stages):
         stg = f"stage{s}"
-        nodes.append(LayerNode(f"{stg}.conv", "conv", [tail], _conv_attrs(ch, width)))
-        tail = f"{stg}.conv"
+        tail = add(stg, "conv", "conv", [tail], _conv_attrs(ch, width), ("after_conv1",))
+        tail = add(stg, "bn", "bn", [tail], {"channels": width},
+                   ("after_bn1", "after_last_bn"))
+        tail = add(stg, "relu", "relu", [tail], tags=("after_relu",))
+        tail = add(stg, "pool", "maxpool2", [tail])
         ch = width
-        if spec and spec.position == "after_conv1":
-            tail = _attach(graph, nodes, spec, tail, stg, width)
-        nodes.append(LayerNode(f"{stg}.bn", "bn", [tail], {"channels": width}))
-        tail = f"{stg}.bn"
-        if spec and spec.position in ("after_bn1", "after_last_bn"):
-            tail = _attach(graph, nodes, spec, tail, stg, width)
-        nodes.append(LayerNode(f"{stg}.relu", "relu", [tail]))
-        tail = f"{stg}.relu"
-        if spec and spec.position == "after_relu":
-            tail = _attach(graph, nodes, spec, tail, stg, width)
-        nodes.append(LayerNode(f"{stg}.pool", "maxpool2", [tail]))
-        tail = f"{stg}.pool"
-    nodes.append(LayerNode("gap", "gap", [tail]))
-    nodes.append(LayerNode("head", "linear", ["gap"],
-                           {"in_dim": width, "out_dim": classes}))
+    graph.nodes.append(LayerNode("gap", "gap", [tail]))
+    graph.nodes.append(LayerNode("head", "linear", ["gap"],
+                                 {"in_dim": width, "out_dim": classes}))
     validate_graph(graph)
     return graph
 

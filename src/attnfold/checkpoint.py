@@ -32,6 +32,11 @@ def _graph_json(graph: ModelGraph) -> str:
 
 
 def save_checkpoint(path, graph: ModelGraph, params: ParamSet) -> None:
+    Path(path).write_bytes(checkpoint_bytes(graph, params))
+
+
+def checkpoint_bytes(graph: ModelGraph, params: ParamSet) -> bytes:
+    """The checkpoint container holding `graph` and `params`."""
     names = sorted(params.values)
     for name in names:
         if any(ch.isspace() for ch in name):
@@ -48,8 +53,7 @@ def save_checkpoint(path, graph: ModelGraph, params: ParamSet) -> None:
         payload.extend(arr.tobytes())
         offset += arr.nbytes
     lines.append(f"payload {offset}")
-    blob = ("\n".join(lines) + "\n").encode("ascii") + bytes(payload)
-    Path(path).write_bytes(blob)
+    return ("\n".join(lines) + "\n").encode("ascii") + bytes(payload)
 
 
 def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:

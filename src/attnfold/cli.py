@@ -18,8 +18,9 @@ import numpy as np
 
 from .analysis import (NoiseSpec, bench, noise_attack_eval, perturb_trace,
                        stripe_channel_std, stripe_first_diff)
+from .attention import POSITIONS
 from .backbones import build_residual_chain
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides, format_config, parse_config
 from .errors import ConfigError, FormatError, GraphError
 from .fusion import fuse_model, verify_equivalence
@@ -36,14 +37,17 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def make_run_dir(out_root: str | None, seed: int) -> Path:
+def write_run(out_root: str | None, seed: int, files: dict[str, str | bytes]) -> Path:
+    """Make a new run directory, write `files` (name -> text or bytes) into it
+    and print its path. Commands call it last, once everything is computed,
+    so a command that fails leaves no run directory."""
     root = Path(out_root or os.environ.get(OUT_ENV, DEFAULT_OUT))
     root.mkdir(parents=True, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
@@ -54,6 +58,9 @@ def make_run_dir(out_root: str | None, seed: int) -> Path:
         run = Path(f"{base}-{k}")
         k += 1
     run.mkdir()
+    for name, data in files.items():
+        (run / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    print(f"wrote {run}")
     return run
 
 
@@ -64,7 +71,7 @@ def load_config(path: str, overrides: list[str]) -> RunConfig:
     return cfg
 
 
-def write_stripes(run: Path, stripes: list[StripeRecord]) -> None:
+def stripe_files(stripes: list[StripeRecord]) -> dict[str, str]:
     rows = []
     post_rows = []
     for r in stripes:
@@ -73,11 +80,12 @@ def write_stripes(run: Path, stripes: list[StripeRecord]) -> None:
         if r.post_mean is not None:
             for c, val in enumerate(r.post_mean):
                 post_rows.append([r.module, r.epoch, r.probe, c, float(val)])
-    write_csv(run / "stripe_records.csv",
-              ["module", "epoch", "probe", "channel", "value"], rows)
+    files = {"stripe_records.csv":
+             csv_text(["module", "epoch", "probe", "channel", "value"], rows)}
     if post_rows:
-        write_csv(run / "stripe_post.csv",
-                  ["module", "epoch", "probe", "channel", "mean_after"], post_rows)
+        files["stripe_post.csv"] = csv_text(
+            ["module", "epoch", "probe", "channel", "mean_after"], post_rows)
+    return files
 
 
 def read_stripes(path: Path) -> list[StripeRecord]:
@@ -105,16 +113,15 @@ def read_stripes(path: Path) -> list[StripeRecord]:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or [])
-    run = make_run_dir(args.out_root, cfg.train.seed)
-    (run / "config.resolved").write_text(format_config(cfg))
     result = train(cfg)
-    save_checkpoint(run / "checkpoint.ckpt", result.graph, result.params)
-    write_csv(run / "metrics.csv", ["epoch", "lr", "loss", "top1", "top5"],
-              [[m["epoch"], m["lr"], m["loss"], m["top1"], m["top5"]]
-               for m in result.metrics])
+    files = {"config.resolved": format_config(cfg),
+             "checkpoint.ckpt": checkpoint_bytes(result.graph, result.params),
+             "metrics.csv": csv_text(["epoch", "lr", "loss", "top1", "top5"],
+                                     [[m["epoch"], m["lr"], m["loss"], m["top1"], m["top5"]]
+                                      for m in result.metrics])}
     if result.stripes:
-        write_stripes(run, result.stripes)
-    print(f"wrote {run}")
+        files.update(stripe_files(result.stripes))
+    write_run(args.out_root, cfg.train.seed, files)
     return 0
 
 
@@ -168,15 +175,12 @@ def cmd_stripe(args) -> int:
     for (module, probe), conv in sorted(fd.convergence.items()):
         for c, e in enumerate(conv):
             conv_rows.append([module, probe, c, int(e)])
-    # Only summaries that were all computed leave a run directory.
-    run = make_run_dir(args.out_root, args.seed)
-    write_csv(run / "stripe_std.csv", ["module", "epoch", "channel", "std"], std_rows)
-    write_csv(run / "stripe_first_diff.csv",
-              ["module", "probe", "channel", "epoch_from", "epoch_to", "delta"],
-              diff_rows)
-    write_csv(run / "stripe_convergence.csv",
-              ["module", "probe", "channel", "convergence_epoch"], conv_rows)
-    print(f"wrote {run}")
+    write_run(args.out_root, args.seed, {
+        "stripe_std.csv": csv_text(["module", "epoch", "channel", "std"], std_rows),
+        "stripe_first_diff.csv": csv_text(
+            ["module", "probe", "channel", "epoch_from", "epoch_to", "delta"], diff_rows),
+        "stripe_convergence.csv": csv_text(
+            ["module", "probe", "channel", "convergence_epoch"], conv_rows)})
     return 0
 
 
@@ -214,12 +218,9 @@ def cmd_perturb(args) -> int:
                 prev = row.eps_t
             rows.append([eps, trial, -1, trace.eps, trace.eps_final, "", "",
                          trace.bound_product, int(trace.product_holds())])
-    # Only a sweep that ran leaves a run directory.
-    run = make_run_dir(args.out_root, args.seed)
-    write_csv(run / "perturbation_trace.csv",
-              ["eps", "trial", "block", "eps_in", "eps_out", "alpha", "w_norm",
-               "factor", "holds"], rows)
-    print(f"wrote {run}")
+    write_run(args.out_root, args.seed, {"perturbation_trace.csv": csv_text(
+        ["eps", "trial", "block", "eps_in", "eps_out", "alpha", "w_norm", "factor",
+         "holds"], rows)})
     return 0
 
 
@@ -246,12 +247,10 @@ def cmd_noise(args) -> int:
         res = noise_attack_eval(graph, params, eval_set, spec,
                                 repeats=args.repeats, seed=args.seed)
         rows.append([spec.mode, spec.a, spec.b, res.mean, res.std, len(res.runs)])
-    # Only an attack that ran leaves a run directory.
-    run = make_run_dir(args.out_root, args.seed)
-    (run / "config.resolved").write_text(format_config(cfg))
-    write_csv(run / "noise_attack.csv",
-              ["mode", "a", "b", "top1_mean", "top1_std", "repeats"], rows)
-    print(f"wrote {run}")
+    write_run(args.out_root, args.seed, {
+        "config.resolved": format_config(cfg),
+        "noise_attack.csv": csv_text(["mode", "a", "b", "top1_mean", "top1_std",
+                                      "repeats"], rows)})
     return 0
 
 
@@ -282,11 +281,8 @@ def cmd_bench(args) -> int:
                  iters=args.iters, seed=args.seed)
     rows.append(["baseline", bres.param_count, bres.macs, bres.samples_per_s,
                  bres.median_s])
-    # Only a benchmark that ran leaves a run directory.
-    run = make_run_dir(args.out_root, args.seed)
-    write_csv(run / "bench.csv",
-              ["variant", "params", "macs", "samples_per_s", "median_s"], rows)
-    print(f"wrote {run}")
+    write_run(args.out_root, args.seed, {"bench.csv": csv_text(
+        ["variant", "params", "macs", "samples_per_s", "median_s"], rows)})
     return 0
 
 
@@ -298,8 +294,7 @@ def _ablate_variants(axis: str, cfg: RunConfig) -> list[tuple[str, RunConfig]]:
     if axis != "no_body" and m.attention in ("none",):
         raise ConfigError(f"axis {axis} needs a base config with attention enabled")
     if axis == "position":
-        return [(pos, replace(cfg, model=replace(m, position=pos)))
-                for pos in ("after_conv1", "after_bn1", "after_last_bn", "after_relu")]
+        return [(pos, replace(cfg, model=replace(m, position=pos))) for pos in POSITIONS]
     if axis == "delta":
         return [(str(d), replace(cfg, model=replace(m, delta=d))) for d in (1, 2, 3, 4)]
     if axis == "init":
@@ -330,8 +325,6 @@ def _ablate_variants(axis: str, cfg: RunConfig) -> list[tuple[str, RunConfig]]:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set or [])
     variants = _ablate_variants(args.axis, cfg)
-    run = make_run_dir(args.out_root, cfg.train.seed)
-    (run / "config.resolved").write_text(format_config(cfg))
     rows = []
     for label, vcfg in variants:
         result = train(vcfg)
@@ -349,10 +342,11 @@ def cmd_ablate(args) -> int:
             max_dev = 0.0
         rows.append([args.axis, label, last["top1"], last["top5"], last["loss"],
                      params_train, params_fused, max_dev])
-    write_csv(run / f"ablate_{args.axis}.csv",
-              ["axis", "value", "top1", "top5", "loss", "params_train",
-               "params_fused", "max_dev"], rows)
-    print(f"wrote {run}")
+    write_run(args.out_root, cfg.train.seed, {
+        "config.resolved": format_config(cfg),
+        f"ablate_{args.axis}.csv": csv_text(
+            ["axis", "value", "top1", "top5", "loss", "params_train", "params_fused",
+             "max_dev"], rows)})
     return 0
 
 

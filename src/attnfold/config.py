@@ -6,7 +6,8 @@ echo that re-parses to an identical config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .attention import VARIANTS
 from .errors import ConfigError
@@ -92,16 +93,18 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {"model": ModelSpec, "train": TrainSpec, "data": DataSpec}
+# Section -> field name -> annotated type.
+_SECTIONS = {name: get_type_hints(cls) for name, cls in
+             (("model", ModelSpec), ("train", TrainSpec), ("data", DataSpec))}
 
 
 def _parse_value(raw: str, kind, key: str):
-    """kind is int/float/bool/str or ("tuple", element_type)."""
+    """kind is int, float, bool, str or tuple[T, ...] of one of those."""
     raw = raw.strip()
-    if isinstance(kind, tuple):
+    if get_origin(kind) is tuple:
         if raw == "":
             return ()
-        elem = kind[1]
+        elem = get_args(kind)[0]
         try:
             return tuple(elem(p.strip()) for p in raw.split(","))
         except ValueError:
@@ -123,30 +126,6 @@ def _parse_value(raw: str, kind, key: str):
     return raw
 
 
-def _field_types(cls) -> dict[str, object]:
-    out = {}
-    defaults = cls()
-    for f in fields(cls):
-        val = getattr(defaults, f.name)
-        if isinstance(val, bool):
-            out[f.name] = bool
-        elif isinstance(val, int):
-            out[f.name] = int
-        elif isinstance(val, float):
-            out[f.name] = float
-        elif isinstance(val, str):
-            out[f.name] = str
-        else:  # tuple
-            if val and isinstance(val[0], float):
-                out[f.name] = float
-            elif val and isinstance(val[0], int):
-                out[f.name] = int
-            else:
-                out[f.name] = str
-            out[f.name] = ("tuple", out[f.name])
-    return out
-
-
 def parse_config(text: str) -> RunConfig:
     sections: dict[str, dict] = {}
     current: str | None = None
@@ -165,8 +144,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        cls = _SECTIONS[current]
-        types = _field_types(cls)
+        types = _SECTIONS[current]
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
@@ -190,11 +168,10 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         section, key = target.split(".", 1)
         if section not in _SECTIONS:
             raise ConfigError(f"override {ov!r}: unknown section {section!r}")
-        types = _field_types(_SECTIONS[section])
+        types = _SECTIONS[section]
         if key not in types:
             raise ConfigError(f"override {ov!r}: unknown key {key!r}")
         parts[section][key] = _parse_value(value, types[key], key)
-    from dataclasses import replace
     out = RunConfig(model=replace(cfg.model, **parts["model"]),
                     train=replace(cfg.train, **parts["train"]),
                     data=replace(cfg.data, **parts["data"]))

@@ -10,6 +10,7 @@ import numpy as np
 
 from .attention import AsrSlot, AttnModule, init_tensor
 from .errors import FormatError, GraphError, require_keys, require_types
+from .kernels import conv_output_hw
 
 # Layer kind -> the attrs its nodes must carry, with their JSON types.
 LAYER_ATTRS = {"input": {}, "relu": {}, "gap": {}, "maxpool2": {}, "add": {},
@@ -140,8 +141,7 @@ def _layer(graph: ModelGraph, node: LayerNode,
             if a[key] < low:
                 raise GraphError(f"conv {name!r} attr {key!r} must be >= {low}, "
                                  f"got {a[key]}")
-        oh = (s[1] + 2 * a["padding"] - a["kh"]) // a["stride"] + 1
-        ow = (s[2] + 2 * a["padding"] - a["kw"]) // a["stride"] + 1
+        oh, ow = conv_output_hw(s[1], s[2], a["kh"], a["kw"], a["stride"], a["padding"])
         if oh < 1 or ow < 1:
             raise GraphError(f"conv {name!r} output dims ({oh},{ow}) not positive")
         return ((a["out_ch"], oh, ow),

@@ -132,6 +132,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--axis", "delta", "--config"]],
+                             ids=["train", "ablate"])
+    def test_diverged_run_leaves_no_run_dir(self, workspace, capsys, command):
+        root, cfg = workspace
+        diverge = ["--set", "train.lr=1e30", "--set", "train.epochs=3",
+                   "--set", "data.samples=64", "--set", "train.batch_size=16"]
+        assert run(["--out-root", root / "runs"] + command + [cfg] + diverge) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite parameter after update at epoch 0 step 2")
+        assert not list((root / "runs").glob("*"))
+
 
 class TestFuseVerify:
     def test_fuse_then_verify(self, workspace):

@@ -442,3 +442,15 @@ class TestLoadedMatrixMemo:
             oracle = svd_norm(w)
             assert abs(spectral_norm(MatrixOperator(w)) - oracle) <= 1e-12 * oracle
             del w
+
+    def test_shared_id_of_live_arrays_misses(self, monkeypatch):
+        # Two live arrays given one key, as a recycled id would: only the
+        # weak reference's referent tells them apart.
+        monkeypatch.setattr(tensor_mod, "_IMMUTABLE_KEYS", {})
+        monkeypatch.setattr(tensor_mod, "id", lambda a: 0, raising=False)
+        a = np.frombuffer(np.arange(4.0).tobytes())
+        b = np.frombuffer(np.ones(4).tobytes())
+        assert tensor_mod.in_bytes(a) and tensor_mod.in_bytes(b)
+        assert tensor_mod.immutable_memo("sum", (a,), lambda: a.sum()) == 6.0
+        assert tensor_mod.immutable_memo("sum", (b,), lambda: b.sum()) == 4.0
+        assert tensor_mod.immutable_memo("sum", (b,), lambda: -1.0) == 4.0
