@@ -1,8 +1,7 @@
 """attnfold: channel attention on a learnable constant input, folded into
 backbone weights at inference with verified numerical equivalence."""
 
-from .attention import (AsrSlot, AttentionKind, AttnModule, asr_apply, asr_vector,
-                        attn_standard, body_forward, no_body_vector)
+from .attention import AsrSlot, AttentionKind, AttnModule
 from .autodiff import ParamSet, Tape, backward, cross_entropy, forward
 from .backbones import (AttachSpec, build_residual_chain, build_toy_resnet,
                         build_toy_vgg)

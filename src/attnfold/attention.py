@@ -1,9 +1,11 @@
 """Channel-attention bodies, the standard input-dependent path, and the
 constant-input path whose output vector can later be folded away.
 
-Raw `_raw` functions work on ndarrays and return their backward rules; the
-public wrappers validate and speak `Tensor`. A variant is its entry in
-`VARIANTS`, its `param_shapes` and `body_input_dim`, one branch of
+The module works on ndarrays only: each `_raw` function returns its result
+with its backward rule and trusts the tensor shapes it is given, which
+`layer_walk` sets at build and `load_checkpoint` checks at load (`tensor.py`
+is the validating, `Tensor`-speaking layer over `kernels`). A variant is its
+entry in `VARIANTS`, its `param_shapes` and `body_input_dim`, one branch of
 `body_forward_raw` and, with a standard path, one of `pool_forward_raw`.
 """
 
@@ -15,7 +17,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InvariantError, ShapeError, require_keys, require_types
-from .tensor import Tensor, as_array
 
 VARIANTS = ("se", "ie", "srm", "spa", "eca", "cbam", "no_body")
 
@@ -358,83 +359,3 @@ def asr_backward_raw(cache: tuple, dy: np.ndarray
     du, dp = back((dy * x).sum(axis=axes)[None, :])
     return dx, du[0], dp
 
-
-# ---------------------------------------------------------------------------
-# Public wrappers.
-
-
-def _check_params(kind: AttentionKind, channels: int, p: dict) -> None:
-    """ShapeError naming the first role of `kind.param_shapes(channels)` that
-    `p` lacks or shapes otherwise, or a role `p` has and the body does not."""
-    shapes = kind.param_shapes(channels)
-    for role in sorted(shapes.keys() | p.keys()):
-        got, want = p.get(role), shapes.get(role)
-        if got is None or want is None or got.shape != want:
-            raise ShapeError(
-                f"{kind.variant} body for {channels} channels: tensor {role!r} "
-                f"has shape {None if got is None else got.shape}, expected {want}")
-
-
-def body_forward(kind: AttentionKind, params: dict, u) -> Tensor:
-    """v = sigmoid(F(u)) for one body input u: a constant psi or one sample's
-    pooled vector."""
-    ua = as_array(u)
-    if ua.ndim != 1:
-        raise ShapeError(f"body_forward expects a 1-D input, got {ua.shape}")
-    p = {k: as_array(t) for k, t in params.items()}
-    dim, error = ua.shape[0], None
-    # The channel counts whose body takes a `dim`-wide input (a constant and
-    # a pooled input differ for cbam); the tensors' shapes pick one.
-    for c in range(dim, 0, -1):
-        if dim not in (kind.body_input_dim(c, True), kind.body_input_dim(c, False)):
-            continue
-        try:
-            _check_params(kind, c, p)
-        except (ShapeError, InvariantError) as exc:
-            error = error or exc
-            continue
-        v, _ = body_forward_raw(kind, c, p, ua[None, :])
-        return Tensor._wrap(v[0])
-    raise error or ShapeError(f"no {kind.variant} body takes a {dim}-wide input")
-
-
-def attn_standard(kind: AttentionKind, params: dict, x) -> tuple[Tensor, Tensor]:
-    """Standard input-dependent path: x' = x scaled by v(x) per sample."""
-    xa = as_array(x)
-    if xa.ndim != 4:
-        raise ShapeError(f"attn_standard expects [N,C,H,W], got {xa.shape}")
-    p = {k: as_array(t) for k, t in params.items()}
-    channels = xa.shape[1]
-    _check_params(kind, channels, p)
-    y, v, _ = attn_forward_raw(kind, channels, p, xa)
-    return Tensor._wrap(y), Tensor._wrap(v)
-
-
-def _slot_values(slot: AsrSlot, values: dict) -> dict:
-    vals = {k: as_array(t) for k, t in values.items()}
-    _check_params(slot.kind, slot.channels, {role: vals[name] for role, name in
-                                             slot.param_names.items() if name in vals})
-    return vals
-
-
-def asr_vector(slot: AsrSlot, values: dict) -> Tensor:
-    """The slot's constant vector sigma(F(psi)); input-independent."""
-    v, _ = asr_vector_raw(slot, _slot_values(slot, values))
-    return Tensor._wrap(v)
-
-
-def asr_apply(slot: AsrSlot, values: dict, x) -> Tensor:
-    xa = as_array(x)
-    if xa.shape[1] != slot.channels:
-        raise ShapeError(f"slot {slot.slot_id} is sized for {slot.channels} channels, "
-                         f"input has {xa.shape[1]}")
-    y, _, _ = asr_apply_raw(slot, _slot_values(slot, values), xa)
-    return Tensor._wrap(y)
-
-
-def no_body_vector(psi) -> Tensor:
-    """Body removed: the vector is sigma(psi) directly."""
-    pa = as_array(psi)
-    if pa.ndim != 1:
-        raise ShapeError(f"no_body_vector expects a 1-D psi, got {pa.shape}")
-    return Tensor._wrap(kernels.sigmoid(pa))

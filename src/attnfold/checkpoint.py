@@ -14,6 +14,7 @@ save -> load -> save round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,8 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
     for name, shape, off in entries:
         if name in values:
             raise FormatError(f"{path}: duplicate tensor entry {name!r}")
-        nbytes = int(np.prod(shape)) * 8
+        size = math.prod(shape)  # Python ints: an int64 product would wrap
+        nbytes = size * 8
         if off < 0 or off + nbytes > len(payload):
             raise FormatError(f"{path}: tensor {name!r} spans [{off}, {off + nbytes}) "
                               f"outside payload of {len(payload)} bytes")
@@ -90,8 +92,7 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
             raise FormatError(f"{path}: tensor {name!r} offset {off} is not a "
                               f"multiple of 8")
         spans.append((off, off + nbytes, name))
-        arr = np.frombuffer(payload, dtype="<f8", count=int(np.prod(shape)),
-                            offset=off).reshape(shape)
+        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=off).reshape(shape)
         # A no-op on little-endian hosts; a big-endian one gets a native copy.
         values[name] = arr.astype(np.float64, copy=False)
     spans.sort()
@@ -148,6 +149,8 @@ def _split(blob: bytes, path: str):
             off = int(parts[3])
         except ValueError as exc:
             raise FormatError(f"{path}: malformed manifest line {line!r}") from exc
+        if min(shape) < 0:
+            raise FormatError(f"{path}: negative dimension in manifest line {line!r}")
         entries.append((parts[1], shape, off))
     try:
         declared = int(lines[-1].split(" ", 1)[1])

@@ -169,24 +169,26 @@ def train(cfg: RunConfig, *, train_set: Dataset | None = None,
             # Drop the previous step's tape (every rule and cache it holds)
             # before this step's forward builds the next one.
             tape = None
-            logits, tape = forward(graph, params, xb, mode="train")
-            loss, dlogits = cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                bad = _first_nonfinite(params) or "loss"
-                raise InvariantError(
-                    f"non-finite loss at epoch {epoch} step {start // t.batch_size}; "
-                    f"first non-finite tensor: {bad}")
-            params.zero_grads()
-            backward(tape, dlogits)
-            for name in sorted(params.trainable):
-                params.values[name], velocities[name] = sgd_step(
-                    params.values[name], params.grads[name], velocities[name],
-                    lr, t.momentum, t.weight_decay)
-            bad = _first_nonfinite(params)
-            if bad is not None:
-                raise InvariantError(
-                    f"non-finite parameter after update at epoch {epoch} step "
-                    f"{start // t.batch_size}; first non-finite tensor: {bad}")
+            # Overflow to inf/NaN is reported by the finite checks below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, tape = forward(graph, params, xb, mode="train")
+                loss, dlogits = cross_entropy(logits, yb)
+                if not np.isfinite(loss):
+                    bad = _first_nonfinite(params) or "loss"
+                    raise InvariantError(
+                        f"non-finite loss at epoch {epoch} step "
+                        f"{start // t.batch_size}; first non-finite tensor: {bad}")
+                params.zero_grads()
+                backward(tape, dlogits)
+                for name in sorted(params.trainable):
+                    params.values[name], velocities[name] = sgd_step(
+                        params.values[name], params.grads[name], velocities[name],
+                        lr, t.momentum, t.weight_decay)
+                bad = _first_nonfinite(params)
+                if bad is not None:
+                    raise InvariantError(
+                        f"non-finite parameter after update at epoch {epoch} step "
+                        f"{start // t.batch_size}; first non-finite tensor: {bad}")
             losses.append(loss)
         top1, top5 = evaluate(graph, params, eval_set)
         result.metrics.append({"epoch": epoch + 1, "lr": lr,

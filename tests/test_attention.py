@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from attnfold import (AttentionKind, InvariantError, ShapeError, asr_apply, asr_vector,
-                      attn_standard, body_forward, no_body_vector)
-from attnfold.attention import AsrSlot, attn_forward_raw, init_tensor, pool_forward_raw
+from attnfold import AttentionKind, InvariantError, ShapeError
+from attnfold.attention import (AsrSlot, asr_apply_raw, asr_vector_raw, attn_forward_raw,
+                                body_forward_raw, init_tensor, pool_forward_raw)
 from attnfold.kernels import gap_forward, sigmoid
 
 
@@ -19,6 +19,11 @@ def slot_values(slot, seed=0):
               for role, shape in slot.kind.param_shapes(slot.channels).items()}
     values["s.psi"] = slot.init_psi()
     return values
+
+
+def no_body(psi):
+    """The body-less variant's vector: sigma(psi) directly."""
+    return body_forward_raw(AttentionKind("no_body"), len(psi), {}, psi[None])[0][0]
 
 
 class TestKindValidation:
@@ -38,16 +43,17 @@ class TestKindValidation:
 class TestBodyForward:
     def test_ie_zero_params_gives_half(self):
         kind = AttentionKind("ie")
-        v = body_forward(kind, {"gamma": np.zeros(6), "beta": np.zeros(6)},
-                         np.random.default_rng(0).standard_normal(6))
-        np.testing.assert_allclose(v.data, np.full(6, 0.5), atol=1e-15)
+        u = np.random.default_rng(0).standard_normal(6)
+        v = body_forward_raw(kind, 6, {"gamma": np.zeros(6), "beta": np.zeros(6)},
+                             u[None])[0][0]
+        np.testing.assert_allclose(v, np.full(6, 0.5), atol=1e-15)
 
     def test_se_zero_w2_gives_half(self):
         kind = AttentionKind("se", reduction=2)
         rng = np.random.default_rng(1)
         params = {"w1": rng.standard_normal((3, 6)), "w2": np.zeros((6, 3))}
-        v = body_forward(kind, params, rng.standard_normal(6))
-        np.testing.assert_allclose(v.data, np.full(6, 0.5), atol=1e-15)
+        v = body_forward_raw(kind, 6, params, rng.standard_normal((1, 6)))[0][0]
+        np.testing.assert_allclose(v, np.full(6, 0.5), atol=1e-15)
 
     def test_se_matches_manual_composition(self):
         kind = AttentionKind("se", reduction=2)
@@ -55,74 +61,27 @@ class TestBodyForward:
         w1 = rng.standard_normal((4, 8))
         w2 = rng.standard_normal((8, 4))
         u = rng.standard_normal(8)
-        v = body_forward(kind, {"w1": w1, "w2": w2}, u)
+        v = body_forward_raw(kind, 8, {"w1": w1, "w2": w2}, u[None])[0][0]
         expected = sigmoid(w2 @ np.maximum(w1 @ u, 0.0))
-        np.testing.assert_allclose(v.data, expected, atol=1e-15)
+        np.testing.assert_allclose(v, expected, atol=1e-15)
 
     def test_output_in_open_unit_interval(self):
         for kind in (AttentionKind("se", reduction=2), AttentionKind("ie"),
                      AttentionKind("eca")):
             slot = make_slot(kind)
             values = slot_values(slot, seed=3)
-            v = asr_vector(slot, values)
-            assert (v.data > 0).all() and (v.data < 1).all()
-
-
-class TestWrapperShapes:
-    """The public wrappers check each tensor against `param_shapes`."""
-
-    def test_eca_kernel_longer_than_its_kind(self):
-        x = np.random.default_rng(30).standard_normal((2, 8, 3, 3))
-        with pytest.raises(ShapeError, match="'w'"):
-            attn_standard(AttentionKind("eca", kernel=3), {"w": np.ones(5)}, x)
-
-    def test_se_hidden_width_off_its_reduction(self):
-        rng = np.random.default_rng(31)
-        params = {"w1": rng.standard_normal((3, 8)), "w2": rng.standard_normal((8, 3))}
-        with pytest.raises(ShapeError, match="'w1'"):
-            body_forward(AttentionKind("se", reduction=2), params, rng.standard_normal(8))
-
-    @pytest.mark.parametrize("call", ["body_forward", "attn_standard"])
-    def test_missing_role_is_named(self, call):
-        rng = np.random.default_rng(32)
-        kind, params = AttentionKind("se", reduction=2), {"w1": rng.standard_normal((4, 8))}
-        with pytest.raises(ShapeError, match="'w2'"):
-            if call == "body_forward":
-                body_forward(kind, params, rng.standard_normal(8))
-            else:
-                attn_standard(kind, params, rng.standard_normal((2, 8, 3, 3)))
-
-    def test_slot_wrappers_check_their_body(self):
-        slot = make_slot(AttentionKind("se", reduction=2))
-        x = np.random.default_rng(36).standard_normal((2, 8, 3, 3))
-        missing = {"s.psi": np.zeros(8), "s.w1": np.zeros((4, 8))}
-        narrow = {**missing, "s.w1": np.zeros((3, 8)), "s.w2": np.zeros((8, 3))}
-        for values, role in ((missing, "'w2'"), (narrow, "'w1'")):
-            with pytest.raises(ShapeError, match=role):
-                asr_vector(slot, values)
-            with pytest.raises(ShapeError, match=role):
-                asr_apply(slot, values, x)
-
-    def test_extra_role_is_named(self):
-        x = np.random.default_rng(33).standard_normal((2, 4, 3, 3))
-        params = {"gamma": np.ones(4), "beta": np.zeros(4), "w": np.ones(3)}
-        with pytest.raises(ShapeError, match="'w'"):
-            attn_standard(AttentionKind("ie"), params, x)
-
-    def test_body_sized_for_other_channels(self):
-        x = np.random.default_rng(34).standard_normal((2, 4, 3, 3))
-        with pytest.raises(ShapeError, match="'beta'"):
-            attn_standard(AttentionKind("ie"), {"gamma": np.ones(6), "beta": np.ones(6)}, x)
+            v = asr_vector_raw(slot, values)[0]
+            assert (v > 0).all() and (v < 1).all()
 
     def test_cbam_body_takes_a_constant_or_a_pooled_input(self):
         rng = np.random.default_rng(35)
         p = {"w1": rng.standard_normal((2, 4)), "w2": rng.standard_normal((4, 2))}
         u = rng.standard_normal(8)
         mlp = lambda t: p["w2"] @ np.maximum(p["w1"] @ t, 0.0)
-        v = body_forward(AttentionKind("cbam", reduction=2), p, u)
-        np.testing.assert_allclose(v.data, sigmoid(mlp(u[:4]) + mlp(u[4:])), atol=1e-14)
-        with pytest.raises(ShapeError, match="no srm body takes a 7-wide input"):
-            body_forward(AttentionKind("srm"), {}, np.ones(7))
+        v = body_forward_raw(AttentionKind("cbam", reduction=2), 4, p, u[None])[0][0]
+        np.testing.assert_allclose(v, sigmoid(mlp(u[:4]) + mlp(u[4:])), atol=1e-14)
+        with pytest.raises(ShapeError, match="srm body expects input dim"):
+            body_forward_raw(AttentionKind("srm"), 4, {}, np.ones((1, 7)))
 
 
 class TestAttnStandard:
@@ -131,27 +90,29 @@ class TestAttnStandard:
         rng = np.random.default_rng(4)
         const = rng.standard_normal(5)
         x = np.broadcast_to(const[None, :, None, None], (2, 5, 3, 3)).copy()
-        y, v = attn_standard(kind, {"gamma": np.ones(5), "beta": np.zeros(5)}, x)
-        np.testing.assert_allclose(v.data, sigmoid(np.tile(const, (2, 1))), atol=1e-14)
+        p = {"gamma": np.ones(5), "beta": np.zeros(5)}
+        y, v = attn_forward_raw(kind, 5, p, x)[:2]
+        np.testing.assert_allclose(v, sigmoid(np.tile(const, (2, 1))), atol=1e-14)
 
     def test_vector_in_unit_interval(self):
         kind = AttentionKind("srm")
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 4, 5, 5))
-        _, v = attn_standard(kind, {"w_mean": np.ones(4), "w_std": np.ones(4)}, x)
-        assert ((v.data > 0) & (v.data < 1)).all()
+        p = {"w_mean": np.ones(4), "w_std": np.ones(4)}
+        _, v = attn_forward_raw(kind, 4, p, x)[:2]
+        assert ((v > 0) & (v < 1)).all()
 
     def test_se_matches_gap_body_composition(self):
         kind = AttentionKind("se", reduction=2)
         rng = np.random.default_rng(6)
         params = {"w1": rng.standard_normal((2, 4)), "w2": rng.standard_normal((4, 2))}
         x = rng.standard_normal((3, 4, 4, 4))
-        y, v = attn_standard(kind, params, x)
+        y, v = attn_forward_raw(kind, 4, params, x)[:2]
         u = gap_forward(x)
         for i in range(3):
             expected_v = sigmoid(params["w2"] @ np.maximum(params["w1"] @ u[i], 0))
-            np.testing.assert_allclose(v.data[i], expected_v, atol=1e-14)
-            np.testing.assert_allclose(y.data[i], x[i] * expected_v[:, None, None],
+            np.testing.assert_allclose(v[i], expected_v, atol=1e-14)
+            np.testing.assert_allclose(y[i], x[i] * expected_v[:, None, None],
                                        atol=1e-14)
 
     def test_srm_single_pixel_std_zero(self):
@@ -184,24 +145,24 @@ class TestAsrVector:
         slot = make_slot(AttentionKind("se", reduction=2))
         values = slot_values(slot)
         values["s.w2"] = np.zeros_like(values["s.w2"])
-        v = asr_vector(slot, values)
-        np.testing.assert_allclose(v.data, np.full(8, 0.5), atol=1e-15)
+        v = asr_vector_raw(slot, values)[0]
+        np.testing.assert_allclose(v, np.full(8, 0.5), atol=1e-15)
 
     def test_frozen_constant_ie(self):
         slot = make_slot(AttentionKind("ie"), psi_mode="frozen_constant", psi_init=0.1)
         values = {"s.gamma": np.ones(8), "s.beta": np.zeros(8),
                   "s.psi": slot.init_psi()}
-        v = asr_vector(slot, values)
-        np.testing.assert_allclose(v.data, np.full(8, 1 / (1 + np.exp(-0.1))),
+        v = asr_vector_raw(slot, values)[0]
+        np.testing.assert_allclose(v, np.full(8, 1 / (1 + np.exp(-0.1))),
                                    atol=1e-12)
-        assert v.data[0] == pytest.approx(0.52498, abs=1e-5)
+        assert v[0] == pytest.approx(0.52498, abs=1e-5)
 
     def test_input_independent(self):
         slot = make_slot(AttentionKind("srm"))
         values = slot_values(slot, seed=10)
-        v1 = asr_vector(slot, values)
-        v2 = asr_vector(slot, values)
-        assert v1.data.tobytes() == v2.data.tobytes()
+        v1 = asr_vector_raw(slot, values)[0]
+        v2 = asr_vector_raw(slot, values)[0]
+        assert v1.tobytes() == v2.tobytes()
 
     def test_psi_dims_per_kind(self):
         assert make_slot(AttentionKind("se", reduction=2)).psi_dim == 8
@@ -222,20 +183,20 @@ class TestAsrApply:
                          psi_init=40.0)
         values = {"s.psi": slot.init_psi()}
         x = np.random.default_rng(11).standard_normal((2, 8, 3, 3))
-        y = asr_apply(slot, values, x)
-        np.testing.assert_allclose(y.data, x, atol=1e-12)
+        y = asr_apply_raw(slot, values, x)[0]
+        np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_matches_loop_oracle(self):
         slot = make_slot(AttentionKind("ie"))
         values = slot_values(slot, seed=12)
         x = np.random.default_rng(13).standard_normal((2, 8, 3, 3))
-        v = asr_vector(slot, values).data
-        y = asr_apply(slot, values, x)
+        v = asr_vector_raw(slot, values)[0]
+        y = asr_apply_raw(slot, values, x)[0]
         expected = np.empty_like(x)
         for n in range(2):
             for c in range(8):
                 expected[n, c] = x[n, c] * v[c]
-        np.testing.assert_array_equal(y.data, expected)
+        np.testing.assert_array_equal(y, expected)
 
     def test_delta_stacking_multiplies_and_shrinks(self):
         slots = [make_slot(AttentionKind("ie"), delta_index=d) for d in range(3)]
@@ -245,9 +206,9 @@ class TestAsrApply:
         prod = np.ones(8)
         for d, slot in enumerate(slots):
             values = slot_values(slot, seed=20 + d)
-            v = asr_vector(slot, values).data
+            v = asr_vector_raw(slot, values)[0]
             prod *= v
-            y = asr_apply(slot, values, y).data
+            y = asr_apply_raw(slot, values, y)[0]
         np.testing.assert_allclose(y, x * prod[None, :, None, None], atol=1e-14)
         assert ((prod > 0) & (prod < 1)).all()
         # feature magnitude is non-increasing in the stack depth
@@ -256,17 +217,17 @@ class TestAsrApply:
 
 class TestNoBody:
     def test_zero_psi(self):
-        v = no_body_vector(np.zeros(6))
-        np.testing.assert_allclose(v.data, np.full(6, 0.5), atol=1e-15)
+        v = no_body(np.zeros(6))
+        np.testing.assert_allclose(v, np.full(6, 0.5), atol=1e-15)
 
     def test_limit_at_20(self):
-        v = no_body_vector(np.full(4, 20.0))
-        assert (v.data > 1 - 1e-8).all()
+        v = no_body(np.full(4, 20.0))
+        assert (v > 1 - 1e-8).all()
 
     def test_matches_scalar_sigmoid(self):
         psi = np.random.default_rng(15).standard_normal(9)
-        v = no_body_vector(psi)
-        np.testing.assert_allclose(v.data, 1 / (1 + np.exp(-psi)), atol=1e-14)
+        v = no_body(psi)
+        np.testing.assert_allclose(v, 1 / (1 + np.exp(-psi)), atol=1e-14)
 
 
 class TestCbamAsrSingleBranch:
@@ -274,7 +235,7 @@ class TestCbamAsrSingleBranch:
         kind = AttentionKind("cbam", reduction=2)
         slot = make_slot(kind, channels=4)
         values = slot_values(slot, seed=16)
-        v = asr_vector(slot, values).data
+        v = asr_vector_raw(slot, values)[0]
         w1, w2 = values["s.w1"], values["s.w2"]
         psi = values["s.psi"]
         expected = sigmoid(w2 @ np.maximum(w1 @ psi, 0.0))
@@ -299,7 +260,7 @@ class TestEca:
         w = np.array([0.25, 0.5, -0.125])
         psi = np.arange(5.0)
         values = {"s.w": w, "s.psi": psi}
-        v = asr_vector(slot, values).data
+        v = asr_vector_raw(slot, values)[0]
         expected = np.empty(5)
         for c in range(5):
             acc = 0.0

@@ -174,6 +174,43 @@ class TestManifestValidation:
         with pytest.raises(FormatError, match="missing"):
             load_checkpoint(f)
 
+    @pytest.mark.parametrize("dims,match", [("4611686018427387904x4", "spans"),
+                                            ("-2x-1", "negative dimension.*-2x-1")],
+                             ids=["product-overflows-int64", "negative"])
+    def test_bad_dimensions(self, model, tmp_path, dims, match):
+        g, p = model
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+        blob = f.read_bytes()
+        line = re.search(rb"tensor head\.b \S+ ", blob).group()
+        f.write_bytes(blob.replace(line, f"tensor head.b {dims} ".encode(), 1))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("mode,owner", [("asr", "block0.asr0"),
+                                            ("standard", "block0.attn0")])
+    def test_attention_tensor_of_wrong_shape(self, tmp_path, mode, owner):
+        spec = AttachSpec(kind=AttentionKind("se", reduction=2), mode=mode)
+        g = build_toy_resnet(1, 8, 3, spec, image_size=6)
+        p = init_params(g, seed=0)
+        p.values[f"{owner}.w1"] = np.zeros((3, 8))
+        p.values[f"{owner}.w2"] = np.zeros((8, 3))
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+        with pytest.raises(FormatError, match=re.escape(
+                f"tensor '{owner}.w1' has shape (3, 8), graph expects (4, 8)")):
+            load_checkpoint(f)
+
+    def test_unexpected_attention_tensor(self, tmp_path):
+        spec = AttachSpec(kind=AttentionKind("ie"), mode="standard")
+        g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+        p = init_params(g, seed=0)
+        p.values["block0.attn0.w"] = np.ones(3)
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, p)
+        with pytest.raises(FormatError, match=re.escape("unexpected ['block0.attn0.w']")):
+            load_checkpoint(f)
+
     def test_version_check(self, model, tmp_path):
         g, p = model
         f = tmp_path / "m.ckpt"

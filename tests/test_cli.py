@@ -132,7 +132,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [["train"], ["ablate", "--axis", "delta", "--config"]],
                              ids=["train", "ablate"])
     def test_diverged_run_leaves_no_run_dir(self, workspace, capsys, command):
