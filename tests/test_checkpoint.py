@@ -1,5 +1,6 @@
 """checkpoint container: bitwise round-trips, manifest validation."""
 
+import hashlib
 import json
 import re
 
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from attnfold import (AttachSpec, AttentionKind, FormatError, GraphError, InvariantError,
-                      LayerNode, ModelGraph, build_toy_resnet, init_params, load_checkpoint,
-                      save_checkpoint)
+                      LayerNode, ModelGraph, build_residual_chain, build_toy_resnet,
+                      build_toy_vgg, init_params, load_checkpoint, save_checkpoint)
+from attnfold.attention import VARIANTS
+from attnfold.checkpoint import checkpoint_bytes
 
 
 NODE_ATTRS = [
@@ -83,6 +86,24 @@ class TestRoundTrip:
         save_checkpoint(f, g, p)
         _, p2 = load_checkpoint(f)
         assert p2.values["head.b"].tobytes() == p.values["head.b"].tobytes()
+
+
+class TestContainerBytes:
+    def test_container_is_pinned(self):
+        """The bytes `checkpoint_bytes` writes for a seeded init, pinned by
+        digest: both toy builders x every variant x both modes (the body-less
+        variant has no standard module), then a depth-8 width-128 chain."""
+        digest = hashlib.sha256()
+        for builder in (build_toy_resnet, build_toy_vgg):
+            for variant in VARIANTS:
+                for mode in ("asr", "standard")[:1 if variant == "no_body" else 2]:
+                    spec = AttachSpec(kind=AttentionKind(variant), mode=mode)
+                    g = builder(1, 4, 3, spec, image_size=8)
+                    digest.update(checkpoint_bytes(g, init_params(g, seed=0)))
+        g = build_residual_chain(8, 128)
+        digest.update(checkpoint_bytes(g, init_params(g, seed=0)))
+        assert digest.hexdigest() == (
+            "90ded30527f3f880ece0d00ec3da8e303f10078b4506a096480fe2f91e5f824b")
 
 
 class TestLoadedTensorsAreImmutable:
