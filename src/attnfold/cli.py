@@ -126,6 +126,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     graph, params = load_checkpoint(args.checkpoint_in)
     fused_graph, fused_params, report = fuse_model(graph, params,
                                                    verify_samples=args.n,
@@ -145,6 +147,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     a = load_checkpoint(args.checkpoint_a)
     b = load_checkpoint(args.checkpoint_b)
     dev = verify_equivalence(a, b, n=args.n, seed=args.seed)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from attnfold import (AttachSpec, AttentionKind, FormatError, GraphError, InvariantError,
-                      LayerNode, ModelGraph, build_residual_chain, build_toy_resnet,
-                      build_toy_vgg, init_params, load_checkpoint, save_checkpoint)
+                      LayerNode, ModelGraph, ShapeError, build_residual_chain,
+                      build_toy_resnet, build_toy_vgg, init_params, load_checkpoint,
+                      save_checkpoint)
 from attnfold.attention import VARIANTS
-from attnfold.checkpoint import checkpoint_bytes
+from attnfold.checkpoint import _manifest, checkpoint_bytes
+from attnfold.graph import all_param_shapes
 
 
 NODE_ATTRS = [
@@ -138,6 +140,13 @@ class TestLoadedTensorsAreImmutable:
             assert p2.values[name].tobytes() == p.values[name].tobytes()
 
 
+def manifest_line(f, number, reads, has):
+    """The pattern of load_checkpoint's message for a non-canonical manifest
+    line of `f`; `reads` and `has` are regexes."""
+    return (re.escape(f"{f}: manifest line {number} reads ") + f"'{reads}'"
+            + re.escape(", but this graph's checkpoint has ") + f"'{has}'$")
+
+
 class TestManifestValidation:
     def test_bad_tag(self, tmp_path):
         f = tmp_path / "bad.ckpt"
@@ -151,7 +160,7 @@ class TestManifestValidation:
         save_checkpoint(f, g, p)
         blob = f.read_bytes()
         f.write_bytes(blob[:-8])
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError, match=re.escape(f"{f}: payload has ")):
             load_checkpoint(f)
 
     def test_overlapping_offsets(self, model, tmp_path):
@@ -163,11 +172,14 @@ class TestManifestValidation:
         lines = head.decode().splitlines()
         tensor_lines = [i for i, l in enumerate(lines) if l.startswith("tensor ")]
         # force the second tensor to overlap the first
-        parts = lines[tensor_lines[1]].split(" ")
+        canonical = lines[tensor_lines[1]]
+        parts = canonical.split(" ")
         parts[3] = "0"
         lines[tensor_lines[1]] = " ".join(parts)
         f.write_bytes(("\n".join(lines) + "\n").encode() + b"payload " + payload)
-        with pytest.raises(FormatError, match="overlap"):
+        with pytest.raises(FormatError, match=manifest_line(
+                f, tensor_lines[1] + 1, re.escape(lines[tensor_lines[1]]),
+                re.escape(canonical))):
             load_checkpoint(f)
 
     def test_unaligned_offset(self, model, tmp_path):
@@ -177,13 +189,15 @@ class TestManifestValidation:
         head, _, payload = f.read_bytes().partition(b"payload ")
         lines = head.decode().splitlines()
         last = max(i for i, l in enumerate(lines) if l.startswith("tensor "))
-        parts = lines[last].split(" ")
+        canonical = lines[last]
+        parts = canonical.split(" ")
         parts[3] = str(int(parts[3]) + 4)   # still inside the payload, overlapping nothing
         lines[last] = " ".join(parts)
         size, _, data = payload.partition(b"\n")
         f.write_bytes(("\n".join(lines) + "\n").encode() + b"payload "
                       + str(int(size) + 4).encode() + b"\n" + data + bytes(4))
-        with pytest.raises(FormatError, match="not a multiple of 8"):
+        with pytest.raises(FormatError, match=manifest_line(
+                f, last + 1, re.escape(lines[last]), re.escape(canonical))):
             load_checkpoint(f)
 
     def test_missing_tensor(self, model, tmp_path):
@@ -192,20 +206,21 @@ class TestManifestValidation:
         del p.values["head.b"]
         p.trainable.discard("head.b")
         save_checkpoint(f, g, p)
-        with pytest.raises(FormatError, match="missing"):
+        with pytest.raises(FormatError, match=manifest_line(
+                f, 18, r"tensor head\.w 3x4 2784", r"tensor head\.b 3 2784")):
             load_checkpoint(f)
 
-    @pytest.mark.parametrize("dims,match", [("4611686018427387904x4", "spans"),
-                                            ("-2x-1", "negative dimension.*-2x-1")],
+    @pytest.mark.parametrize("dims", ["4611686018427387904x4", "-2x-1"],
                              ids=["product-overflows-int64", "negative"])
-    def test_bad_dimensions(self, model, tmp_path, dims, match):
+    def test_bad_dimensions(self, model, tmp_path, dims):
         g, p = model
         f = tmp_path / "m.ckpt"
         save_checkpoint(f, g, p)
         blob = f.read_bytes()
         line = re.search(rb"tensor head\.b \S+ ", blob).group()
         f.write_bytes(blob.replace(line, f"tensor head.b {dims} ".encode(), 1))
-        with pytest.raises(FormatError, match=match):
+        with pytest.raises(FormatError, match=manifest_line(
+                f, 18, rf"tensor head\.b {dims} 2784", r"tensor head\.b 3 2784")):
             load_checkpoint(f)
 
     @pytest.mark.parametrize("mode,owner", [("asr", "block0.asr0"),
@@ -218,8 +233,9 @@ class TestManifestValidation:
         p.values[f"{owner}.w2"] = np.zeros((8, 3))
         f = tmp_path / "m.ckpt"
         save_checkpoint(f, g, p)
-        with pytest.raises(FormatError, match=re.escape(
-                f"tensor '{owner}.w1' has shape (3, 8), graph expects (4, 8)")):
+        name, number = re.escape(f"{owner}.w1"), 4 if mode == "asr" else 3
+        with pytest.raises(FormatError, match=manifest_line(
+                f, number, rf"tensor {name} 3x8 \d+", rf"tensor {name} 4x8 \d+")):
             load_checkpoint(f)
 
     def test_unexpected_attention_tensor(self, tmp_path):
@@ -229,7 +245,8 @@ class TestManifestValidation:
         p.values["block0.attn0.w"] = np.ones(3)
         f = tmp_path / "m.ckpt"
         save_checkpoint(f, g, p)
-        with pytest.raises(FormatError, match=re.escape("unexpected ['block0.attn0.w']")):
+        with pytest.raises(FormatError, match=manifest_line(
+                f, 5, r"tensor block0\.attn0\.w 3 64", r"tensor block0\.bn1\.beta 4 64")):
             load_checkpoint(f)
 
     def test_version_check(self, model, tmp_path):
@@ -239,6 +256,127 @@ class TestManifestValidation:
         blob = f.read_bytes().replace(b"attnfold-checkpoint 1", b"attnfold-checkpoint 9", 1)
         f.write_bytes(blob)
         with pytest.raises(FormatError, match="version"):
+            load_checkpoint(f)
+
+
+def split_manifest(blob):
+    """A checkpoint's manifest lines (each with its newline) and its payload."""
+    end = blob.index(b"\n", blob.index(b"\npayload ") + 1) + 1
+    return blob[:end].splitlines(keepends=True), blob[end:]
+
+
+def spaced_graph(line):
+    return b"graph " + json.dumps(json.loads(line[len(b"graph "):]), sort_keys=True).encode()
+
+
+# Non-canonical forms the reader once accepted; each edits lines of the
+# `model` fixture's manifest: 17 and 18 are `tensor head.b 3 2784` and
+# `tensor head.w 3x4 2808`, 25 is `payload 3928`.
+NON_CANONICAL = {
+    "plus-sign": lambda lines: {17: b"tensor head.b +3 2784\n"},
+    "underscore": lambda lines: {17: b"tensor head.b 3 2_784\n"},
+    "leading-zero-offset": lambda lines: {17: b"tensor head.b 3 02784\n"},
+    "spaced-graph-json": lambda lines: {1: spaced_graph(lines[1][:-1]) + b"\n"},
+    "swapped-tensor-lines": lambda lines: {17: lines[18], 18: lines[17]},
+    "unused-payload-bytes": lambda lines: {25: b"payload 3936\n"},
+}
+
+
+def manifest_mutants(blob):
+    """Edited copies of `blob`, each with the line index it edits: per line,
+    each digit run with its last digit changed, a '+' before it, a '_' after
+    its first digit and a leading '0'; each pair of adjacent lines swapped;
+    the file cut at the start and the middle of each line; bytes appended."""
+    lines, payload = split_manifest(blob)
+    for i, line in enumerate(lines):
+        for m in re.finditer(rb"\d+", line):
+            (a, b), d = m.span(), m.group()
+            for new in (d[:-1] + str((int(d[-1:]) + 1) % 10).encode(), b"+" + d,
+                        d[:1] + b"_" + d[1:], b"0" + d):
+                edited = lines[:i] + [line[:a] + new + line[b:]] + lines[i + 1:]
+                yield i, b"".join(edited) + payload
+        start = len(b"".join(lines[:i]))
+        yield i, blob[:start]
+        yield i, blob[:start + len(line) // 2]
+    for i in range(len(lines) - 1):
+        yield i, b"".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]) + payload
+    yield len(lines), blob + bytes(8)
+    yield len(lines), blob + b"\n"
+
+
+class TestCanonicalOnly:
+    """A file loads only if it is the exact bytes `checkpoint_bytes` writes
+    for what it decodes to."""
+
+    @pytest.mark.parametrize("form", sorted(NON_CANONICAL))
+    def test_non_canonical_form_rejected(self, model, tmp_path, form):
+        g, p = model
+        lines, payload = split_manifest(checkpoint_bytes(g, p))
+        assert lines[17:19] + lines[25:] == [b"tensor head.b 3 2784\n",
+                                             b"tensor head.w 3x4 2808\n", b"payload 3928\n"]
+        for i, line in NON_CANONICAL[form](lines).items():
+            lines[i] = line
+        f = tmp_path / "m.ckpt"
+        f.write_bytes(b"".join(lines) + payload + bytes(8 * (form == "unused-payload-bytes")))
+        with pytest.raises(FormatError, match=re.escape(f"{f}: manifest line ")):
+            load_checkpoint(f)
+
+    @pytest.mark.parametrize("builder,variant,mode", [
+        (build_toy_resnet, "se", "asr"), (build_toy_vgg, "cbam", "standard")])
+    def test_manifest_mutants_rejected_or_canonical(self, tmp_path, builder, variant, mode):
+        """A graph-line edit that still parses may fail graph validation, which
+        runs first, or be another canonical graph (`"blocks":2` in `meta`);
+        every other mutant must be a FormatError."""
+        g = builder(1, 4, 3, AttachSpec(kind=AttentionKind(variant), mode=mode),
+                    image_size=6)
+        blob = checkpoint_bytes(g, init_params(g, seed=0))
+        f = tmp_path / "mutant.ckpt"
+        outcomes = set()
+        for i, mutant in manifest_mutants(blob):
+            f.write_bytes(mutant)
+            try:
+                g2, p2 = load_checkpoint(f)
+            except FormatError:
+                outcomes.add("rejected")
+                continue
+            except (GraphError, InvariantError, ShapeError):
+                assert i == 1, mutant
+                outcomes.add("rejected")
+                continue
+            assert checkpoint_bytes(g2, p2) == mutant
+            outcomes.add("canonical")
+        assert "rejected" in outcomes
+
+    def test_non_ascii_tensor_name_is_a_format_error(self, tmp_path):
+        # The graph JSON escapes a non-ASCII node name; a manifest line cannot.
+        g = ModelGraph(nodes=[LayerNode("input", "input"),
+                              LayerNode("f\u00e9", "linear", ["input"],
+                                        {"in_dim": 2, "out_dim": 2})],
+                       input_shape=(2,), classes=2)
+        message = "tensor name 'f\u00e9.b' contains whitespace or non-ASCII"
+        with pytest.raises(FormatError, match=message):
+            checkpoint_bytes(g, init_params(g, seed=0))
+        f = tmp_path / "m.ckpt"
+        f.write_bytes(b"attnfold-checkpoint 1\ngraph "
+                      + json.dumps(g.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+                      + b"\npayload 0\n")
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(f)
+
+    def test_declared_size_bounded_by_the_file(self, tmp_path):
+        """A graph and manifest that agree on a 2**40-element tensor are
+        refused from the file size, before anything is allocated for it."""
+        g = ModelGraph(nodes=[LayerNode("input", "input"),
+                              LayerNode("fc", "linear", ["input"],
+                                        {"in_dim": 2 ** 40, "out_dim": 2})],
+                       input_shape=(2 ** 40,), classes=2)
+        trainable, state = all_param_shapes(g)
+        manifest, size = _manifest(g, {**trainable, **state})
+        assert size == 8 * (2 ** 41 + 2)
+        f = tmp_path / "huge.ckpt"
+        f.write_bytes(manifest + bytes(16))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{f}: payload has 16 bytes, manifest declares {size}")):
             load_checkpoint(f)
 
 

@@ -84,7 +84,8 @@ def reference_checkpoint(root, variant, mode, seed=21):
 
 
 def write_graph(f, head, graph, rest):
-    f.write_bytes(head + b"\ngraph " + json.dumps(graph).encode() + b"\n" + rest)
+    line = json.dumps(graph, sort_keys=True, separators=(",", ":"))
+    f.write_bytes(head + b"\ngraph " + line.encode() + b"\n" + rest)
     return f
 
 
@@ -191,6 +192,16 @@ class TestFuseVerify:
         assert run(["fuse", bad, fused]) == 1
         assert not fused.exists()
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("command", ["fuse", "verify"])
+    def test_fewer_than_one_input_exits_1(self, tmp_path, capsys, command, n):
+        # fuse --n 0 used to write its outputs with max_dev 0.0 from no input.
+        clean, _ = nan_checkpoint_pair(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        assert run([command, clean, fused if command == "fuse" else clean, "--n", n]) == 1
+        assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
+        assert not fused.exists() and not (tmp_path / "fused_fusion_report.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_fails_closed_on_overflowing_forward(self, tmp_path, capsys):
