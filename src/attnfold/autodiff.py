@@ -145,7 +145,7 @@ def _compile(graph: ModelGraph, node):
 
         def step(vals, ins, train, hook):
             k = vals[k_name]
-            y, cache = kernels.conv2d_forward(ins[0], k, vals[b_name], stride, padding)
+            y, cache = kernels.conv2d_forward(ins[0], k, vals[b_name], stride, padding, train)
             return y, _rule(_conv_back, k, cache, k_name, b_name) if train else None
         return step
     if kind == "bn":

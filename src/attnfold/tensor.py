@@ -105,7 +105,7 @@ def conv2d(x, k, bias, spec: ConvSpec = ConvSpec()) -> Tensor:
     if ba.shape != (ka.shape[0],):
         raise ShapeError(f"bias shape {ba.shape} does not match {ka.shape[0]} output channels")
     spec.output_hw(xa.shape[2], xa.shape[3], ka.shape[2], ka.shape[3])
-    y, _ = kernels.conv2d_forward(xa, ka, ba, spec.stride, spec.padding)
+    y, _ = kernels.conv2d_forward(xa, ka, ba, spec.stride, spec.padding, train=False)
     return Tensor._wrap(y)
 
 
@@ -200,7 +200,7 @@ class ConvOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         x = v.reshape(1, self.k.shape[1], self.h, self.w)
         y, _ = kernels.conv2d_forward(x, self.k, np.zeros(self.k.shape[0]),
-                                      self.spec.stride, self.spec.padding)
+                                      self.spec.stride, self.spec.padding, train=False)
         return y.reshape(-1)
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:

@@ -379,6 +379,41 @@ class TestCanonicalOnly:
                 f"{f}: payload has 16 bytes, manifest declares {size}")):
             load_checkpoint(f)
 
+    def test_scalar_parameter_is_a_format_error(self, model):
+        g, p = model
+        p.values["head.b"] = np.array(0.5)
+        with pytest.raises(FormatError, match="tensor 'head.b' is a scalar"):
+            checkpoint_bytes(g, p)
+
+    @pytest.mark.parametrize("edit", ["spaced", "deep"])
+    def test_long_graph_line_error_is_an_excerpt(self, tmp_path, edit):
+        """A non-canonical graph line of the 2-block width-16 SE ResNet
+        (3,140 characters) is named by its first differing column, with an
+        excerpt of at most 80 characters of each line around it."""
+        spec = AttachSpec(kind=AttentionKind("se", reduction=4), mode="asr", delta=2)
+        g = build_toy_resnet(2, 16, 10, spec, image_size=16)
+        lines, payload = split_manifest(checkpoint_bytes(g, init_params(g, seed=0)))
+        graph = lines[1][:-1]
+        assert len(graph) == 3140
+        if edit == "spaced":
+            lines[1], col = spaced_graph(graph) + b"\n", len(b'graph {"classes":') + 1
+        else:
+            at = graph.rindex(b":") + 1
+            lines[1], col = graph[:at] + b" " + graph[at:] + b"\n", at + 1
+        f = tmp_path / "m.ckpt"
+        f.write_bytes(b"".join(lines) + payload)
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(f)
+        message = str(info.value)
+        start = max(1, col - 40)
+        head = f"{f}: manifest line 2 differs at column {col}; from column {start} it reads '"
+        assert message.startswith(head)
+        reads, has = message[len(head):].split("', but this graph's checkpoint has '")
+        assert has.endswith("'")
+        assert reads == lines[1][:-1][start - 1:start + 79].decode()
+        assert has[:-1] == graph[start - 1:start + 79].decode()
+        assert len(message) <= len(str(f)) + 300
+
 
 def rewrite_graph(path, edit):
     """Replace the checkpoint's graph JSON by `edit(graph_dict)`."""

@@ -68,8 +68,7 @@ def se_checkpoint_with_node(root, name, edit):
     head, graph_line, rest = f.read_bytes().split(b"\n", 2)
     d = json.loads(graph_line[len(b"graph "):])
     edit(next(n for n in d["nodes"] if n["name"] == name))
-    f.write_bytes(head + b"\ngraph " + json.dumps(d).encode() + b"\n" + rest)
-    return f
+    return write_graph(f, head, d, rest)
 
 
 def reference_checkpoint(root, variant, mode, seed=21):
@@ -267,8 +266,7 @@ class TestCheckpointValidation:
         d = g.to_dict()
         del next(n for n in d["nodes"] if n["kind"] == "conv")["attrs"]["in_ch"]
         f = tmp_path / "no_in_ch.ckpt"
-        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
-                      + b"\npayload 0\n")
+        write_graph(f, b"attnfold-checkpoint 1", d, b"payload 0\n")
         assert run(["verify", f, f]) == 1
         assert "'in_ch'" in capsys.readouterr().err
 
@@ -276,8 +274,7 @@ class TestCheckpointValidation:
         d = build_toy_resnet(1, 4, 3, None, image_size=6).to_dict()
         d["nodes"] = 5
         f = tmp_path / "int_nodes.ckpt"
-        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
-                      + b"\npayload 0\n")
+        write_graph(f, b"attnfold-checkpoint 1", d, b"payload 0\n")
         assert run(["verify", f, f]) == 1
         assert "'nodes' must be a JSON array" in capsys.readouterr().err
 
@@ -290,8 +287,7 @@ class TestCheckpointValidation:
             conv = next(n for n in d["nodes"] if n["name"] == "stem.conv")
             conv["attrs"]["in_ch"] = "3"
         f = tmp_path / f"str_{key}.ckpt"
-        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
-                      + b"\npayload 0\n")
+        write_graph(f, b"attnfold-checkpoint 1", d, b"payload 0\n")
         assert run(["verify", f, f]) == 1
         assert f"{key!r} must be a JSON integer" in capsys.readouterr().err
 
@@ -300,8 +296,7 @@ class TestCheckpointValidation:
         d = build_toy_resnet(1, 4, 3, None, image_size=6).to_dict()
         d["classes"] = classes
         f = tmp_path / f"classes_{classes}.ckpt"
-        f.write_bytes(b"attnfold-checkpoint 1\ngraph " + json.dumps(d).encode()
-                      + b"\npayload 0\n")
+        write_graph(f, b"attnfold-checkpoint 1", d, b"payload 0\n")
         assert run(["verify", f, f]) == 1
         assert "'classes'" in capsys.readouterr().err
 

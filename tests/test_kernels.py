@@ -1,5 +1,5 @@
 """Conv and eval-BN kernels against loop and formula oracles: exact values,
-adjointness, fresh output, the cached patch index."""
+adjointness, fresh output, the cached patch index, the eval block form."""
 
 import itertools
 import tracemalloc
@@ -139,6 +139,91 @@ def test_conv2d_forward_is_one_gemm_plus_bias(case):
     oh, ow = kernels.conv_output_hw(H, W, kh, kw, stride, padding)
     rows = loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T + b
     assert np.array_equal(y, rows.reshape(shape[0], oh, ow, 2).transpose(0, 3, 1, 2))
+
+
+def one_gemm(x, k, stride, padding):
+    """The bias-free conv output [N,O,OH,OW] of one GEMM over the whole patch matrix."""
+    n, _, h, w = x.shape
+    o, _, kh, kw = k.shape
+    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
+    rows = kernels.im2col(x, kh, kw, stride, padding) @ k.reshape(o, -1).T
+    return rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+
+
+def test_block_form_equals_one_gemm(case):
+    rng, shape, (kh, kw, stride, padding) = case
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    want = one_gemm(x, k, stride, padding)
+    got = kernels.im2col(x, kh, kw, stride, padding, k=k)
+    assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def blocks(shape, kk, stride, padding):
+    """The number of sample blocks `im2col`'s `k` form cuts a batch into."""
+    n, c, h, w = shape
+    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
+    return -(-n // max(1, kernels._BLOCK_BYTES // (oh * ow * c * kk * kk * 8)))
+
+
+# (x shape, output channels, kernel side, stride, padding), all multi-block.
+MULTI_BLOCK = {
+    "deploy-conv": ((64, 16, 16, 16), 16, 3, 1, 1),
+    "deploy-stem": ((64, 3, 16, 16), 16, 3, 1, 1),
+    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),
+    "stride-2": ((64, 16, 16, 16), 8, 3, 2, 1),
+    "uneven-blocks": ((37, 16, 16, 16), 4, 3, 1, 1),   # 3 samples a block, 37 = 12 * 3 + 1
+}
+
+
+@pytest.mark.parametrize("geom", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
+def test_multi_block_form_equals_one_gemm(geom):
+    # At least four output channels and blocks of these sizes keep BLAS on
+    # the kernel it runs for the whole product.
+    shape, o, kk, stride, padding = geom
+    assert blocks(shape, kk, stride, padding) > 1
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    b = rng.standard_normal(o)
+    want = np.ascontiguousarray(one_gemm(x, k, stride, padding))
+    assert kernels.im2col(x, kk, kk, stride, padding, k=k).tobytes() == want.tobytes()
+    y, cache = kernels.conv2d_forward(x, k, b, stride, padding, train=False)
+    assert cache is None
+    assert y.tobytes() == kernels.conv2d_forward(x, k, b, stride, padding)[0].tobytes()
+
+
+@pytest.mark.parametrize("geom", [((19, 16, 16, 16), 1, 3, 1, 0), ((5, 16, 16, 16), 2, 3, 1, 1),
+                                  ((8, 16, 16, 16), 3, 5, 1, 1)],
+                         ids=["o1", "o2", "o3"])
+def test_few_output_channels_near_extended_precision_oracle(geom):
+    # With O <= 3, BLAS may take another kernel for a block than for the
+    # whole product, so y can differ from the one-GEMM form by rounding;
+    # hold it to a long-double oracle instead.
+    shape, o, kk, stride, padding = geom
+    assert blocks(shape, kk, stride, padding) > 1
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    want = one_gemm(x.astype(np.longdouble), k.astype(np.longdouble), stride, padding)
+    y = kernels.im2col(x, kk, kk, stride, padding, k=k)
+    assert np.abs(y - want).max() <= 1e-14 * np.abs(want).max()
+    assert y.tobytes() == kernels.im2col(x, kk, kk, stride, padding, k=k).tobytes()
+
+
+def test_eval_conv2d_forward_builds_no_patch_matrix():
+    # In eval mode the patches are taken one sample block at a time, so the
+    # forward never holds the [N*OH*OW, C*kh*kw] matrix.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 16, 16, 16))
+    k = rng.standard_normal((16, 16, 3, 3))
+    tracemalloc.start()
+    try:
+        kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 16 * 16 * 16 * 9 * 8
 
 
 def test_patch_index_is_cached_and_read_only():
