@@ -66,6 +66,11 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
 _BLOCK_BYTES = 1 << 20
 
 
+def _samples_per_block(rows: int, c: int, kh: int, kw: int) -> int:
+    """Whole samples of `rows` patch rows each whose patches fit `_BLOCK_BYTES`."""
+    return _BLOCK_BYTES // max(1, rows * c * kh * kw * 8)
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            k: np.ndarray | None = None) -> np.ndarray:
     """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major; with
@@ -74,27 +79,28 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
     ordered (c, i, j) like `k.reshape(O, -1)`. This layout and the GEMMs on
     it are the conv contract. In train mode `conv2d_forward` multiplies the
-    whole matrix once, `cols @ k.T`, and caches it for dk = `dy.T @ cols`; a
-    faster fill must keep every patch value, GEMM operand and addition order,
-    so that conv outputs and dk stay bit-identical (the finite-difference
-    gradient check is sensitive to one ulp of the loss). The matrix is filled
-    by one `take` of each padded sample through a flat index that is built
-    once per geometry (`_patch_index`, an LRU cache); the result is always a
-    fresh, writable array.
+    whole matrix once, `cols @ k.T`, and caches it for dk = `dy.T @ cols`
+    (eval mode does the same, uncached, for a sample too large to block;
+    see `conv2d_forward`); a faster fill must keep every patch value, GEMM
+    operand and addition order, so that conv outputs and dk stay
+    bit-identical (the finite-difference gradient check is sensitive to one
+    ulp of the loss). The matrix is filled by one `take` of each padded
+    sample through a flat index that is built once per geometry
+    (`_patch_index`, an LRU cache); the result is always a fresh, writable
+    array.
 
-    The `k` form is eval mode's. The batch is cut into as few blocks of
-    whole samples as keep each block's patches within `_BLOCK_BYTES` (a
-    larger sample is a block of its own), of near-equal size. Each block is
-    padded and taken into reused buffers, multiplied by `k.reshape(O, -1).T`
-    at once and its rows transposed into the output, all while in cache, so
-    neither the padded batch nor the full matrix is ever allocated. When the
-    batch fits one block this is the one-GEMM form and bit-equal to it.
-    Across blocks BLAS sees a smaller M and may take another kernel: on a
-    grid of 3024 geometries (721 of them multi-block) every case whose block
-    GEMMs hold at least 1e6 multiply-adds was bit-equal, and the rest
-    differed at most by rounding, 1.2e-15 of max |y|. Every 3x3 pad-1 conv
-    tried with 4 to 32 output channels, batches up to 128 and sides up to 32
-    was bit-equal.
+    The `k` form is the block form of eval mode. The batch is cut into as
+    few blocks of whole samples as keep each block's patches within
+    `_BLOCK_BYTES` (a larger sample is a block of its own), of near-equal
+    size. Each block is padded and taken into reused buffers, multiplied by
+    `k.reshape(O, -1).T` at once and its rows transposed into the output,
+    all while in cache, so neither the padded batch nor the full matrix is
+    ever allocated. When the batch fits one block this is the one-GEMM form
+    and bit-equal to it. Across blocks BLAS sees a smaller M and may take
+    another kernel, so y may differ from the one-GEMM form by rounding
+    (on one OpenBLAS host, at most 1.2e-15 of max |y| over 3024 geometries,
+    most of them bit-equal); which cases are bit-equal depends on the BLAS
+    build and the CPU.
     """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
@@ -108,7 +114,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
         return x.reshape(n, -1).take(idx, axis=1).reshape(n * oh * ow, c * kh * kw)
     o, rows = k.shape[0], oh * ow
     # As few blocks as the budget allows, of near-equal size: no short last block.
-    blocks = -(-n // max(1, _BLOCK_BYTES // (rows * c * kh * kw * 8)))
+    blocks = max(1, -(-n // max(1, _samples_per_block(rows, c, kh, kw))))
     m = -(-n // blocks)
     # Padded buffer before index, as in the full form: a geometry too large
     # for memory fails in numpy's allocation, not as an overflow in the index.
@@ -124,7 +130,8 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
         # The index is in range by construction; "clip" spares `take` the
         # copy through a temporary it makes for `out=` under "raise".
         xp[:e - s].reshape(e - s, -1).take(idx, axis=1, out=cols[:e - s], mode="clip")
-        np.matmul(cols[:e - s].reshape(-1, k2t.shape[0]), k2t, out=out[:(e - s) * rows])
+        np.matmul(cols[:e - s].reshape((e - s) * rows, c * kh * kw), k2t,
+                  out=out[:(e - s) * rows])
         y[s:e] = out[:(e - s) * rows].reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
     return y
 
@@ -197,24 +204,29 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
     for `conv2d_backward`.
 
     In train mode y is one GEMM over the whole patch matrix, which the cache
-    keeps for dk. In eval mode (`train=False`) no backward pass follows: y
-    comes from `im2col`'s block form, which never builds the whole matrix,
-    and the cache is None. The bias is added to the same products either
-    way; see `im2col` for when the two forms agree bit for bit.
+    keeps for dk. In eval mode (`train=False`) no backward pass follows and
+    the cache is None. There y comes from `im2col`'s block form, which never
+    builds the whole matrix, when a block holds at least two samples. When
+    one sample's patches alone exceed the block budget, a block no longer
+    stays in cache from its fill to its GEMM, and y is the one-GEMM form of
+    train mode (at 16x16x32x32 with 16 output channels, 1.2 MB of patches a
+    sample, that conv measured about 25% faster than one-sample blocks).
+    The bias is added to the same products either way; see `im2col` for
+    when the two forms agree bit for bit.
     """
     n, c, h, w = x.shape
     o, _, kh, kw = k.shape
-    if not train:
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    if not train and _samples_per_block(oh * ow, c, kh, kw) > 1:
         y = im2col(x, kh, kw, stride, padding, k=k)
         y += b[:, None, None]
         return y, None
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     y = cols @ k.reshape(o, -1).T
     y += b
     y = y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
     cache = {"cols": cols, "x_shape": x.shape, "k_shape": k.shape,
-             "stride": stride, "padding": padding}
+             "stride": stride, "padding": padding} if train else None
     return np.ascontiguousarray(y), cache
 
 

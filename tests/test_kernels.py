@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnfold import kernels
+from attnfold import kernels, tensor
 
 GRID = [(kh, kw, stride, padding, n, c)
         for (kh, kw), stride, padding, n, c in itertools.product(
@@ -150,8 +150,17 @@ def one_gemm(x, k, stride, padding):
     return rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
 
+def blocks(shape, kh, kw, stride, padding):
+    """The number of sample blocks `im2col`'s `k` form cuts a batch into."""
+    n, c, h, w = shape
+    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
+    return -(-n // max(1, kernels._samples_per_block(oh * ow, c, kh, kw)))
+
+
 def test_block_form_equals_one_gemm(case):
+    # The whole batch fits one block, so the block form runs the same GEMM.
     rng, shape, (kh, kw, stride, padding) = case
+    assert blocks(shape, kh, kw, stride, padding) == 1
     x = rng.standard_normal(shape)
     k = rng.standard_normal((2, shape[1], kh, kw))
     want = one_gemm(x, k, stride, padding)
@@ -159,49 +168,26 @@ def test_block_form_equals_one_gemm(case):
     assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def blocks(shape, kk, stride, padding):
-    """The number of sample blocks `im2col`'s `k` form cuts a batch into."""
-    n, c, h, w = shape
-    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
-    return -(-n // max(1, kernels._BLOCK_BYTES // (oh * ow * c * kk * kk * 8)))
-
-
 # (x shape, output channels, kernel side, stride, padding), all multi-block.
 MULTI_BLOCK = {
     "deploy-conv": ((64, 16, 16, 16), 16, 3, 1, 1),
     "deploy-stem": ((64, 3, 16, 16), 16, 3, 1, 1),
-    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),
+    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # one sample a block
     "stride-2": ((64, 16, 16, 16), 8, 3, 2, 1),
     "uneven-blocks": ((37, 16, 16, 16), 4, 3, 1, 1),   # 3 samples a block, 37 = 12 * 3 + 1
+    "o1": ((19, 16, 16, 16), 1, 3, 1, 0),
+    "o2": ((5, 16, 16, 16), 2, 3, 1, 1),
+    "o3": ((8, 16, 16, 16), 3, 5, 1, 1),
 }
 
 
 @pytest.mark.parametrize("geom", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
-def test_multi_block_form_equals_one_gemm(geom):
-    # At least four output channels and blocks of these sizes keep BLAS on
-    # the kernel it runs for the whole product.
+def test_multi_block_form_near_extended_precision_oracle(geom):
+    # Across blocks BLAS sees a smaller M and may take another kernel than
+    # for the whole product, so y can differ from the one-GEMM form by
+    # rounding; hold it to a long-double oracle instead.
     shape, o, kk, stride, padding = geom
-    assert blocks(shape, kk, stride, padding) > 1
-    rng = np.random.default_rng(o)
-    x = rng.standard_normal(shape)
-    k = rng.standard_normal((o, shape[1], kk, kk))
-    b = rng.standard_normal(o)
-    want = np.ascontiguousarray(one_gemm(x, k, stride, padding))
-    assert kernels.im2col(x, kk, kk, stride, padding, k=k).tobytes() == want.tobytes()
-    y, cache = kernels.conv2d_forward(x, k, b, stride, padding, train=False)
-    assert cache is None
-    assert y.tobytes() == kernels.conv2d_forward(x, k, b, stride, padding)[0].tobytes()
-
-
-@pytest.mark.parametrize("geom", [((19, 16, 16, 16), 1, 3, 1, 0), ((5, 16, 16, 16), 2, 3, 1, 1),
-                                  ((8, 16, 16, 16), 3, 5, 1, 1)],
-                         ids=["o1", "o2", "o3"])
-def test_few_output_channels_near_extended_precision_oracle(geom):
-    # With O <= 3, BLAS may take another kernel for a block than for the
-    # whole product, so y can differ from the one-GEMM form by rounding;
-    # hold it to a long-double oracle instead.
-    shape, o, kk, stride, padding = geom
-    assert blocks(shape, kk, stride, padding) > 1
+    assert blocks(shape, kk, kk, stride, padding) > 1
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
@@ -209,6 +195,42 @@ def test_few_output_channels_near_extended_precision_oracle(geom):
     y = kernels.im2col(x, kk, kk, stride, padding, k=k)
     assert np.abs(y - want).max() <= 1e-14 * np.abs(want).max()
     assert y.tobytes() == kernels.im2col(x, kk, kk, stride, padding, k=k).tobytes()
+
+
+@pytest.mark.parametrize("name", ["deploy-conv", "deploy-stem", "stride-2", "train-eval"])
+def test_eval_conv2d_forward_blocks_only_several_samples(name):
+    # Eval mode takes the block form when a block holds two samples or more,
+    # and the one-GEMM form of train mode when one sample fills a block.
+    shape, o, kk, stride, padding = MULTI_BLOCK[name]
+    n, c, h, w = shape
+    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
+    several = kernels._samples_per_block(oh * ow, c, kk, kk) > 1
+    assert several == (name != "train-eval")
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, c, kk, kk))
+    b = rng.standard_normal(o)
+    y, cache = kernels.conv2d_forward(x, k, b, stride, padding, train=False)
+    assert cache is None
+    if several:
+        want = kernels.im2col(x, kk, kk, stride, padding, k=k) + b[:, None, None]
+    else:
+        want = kernels.conv2d_forward(x, k, b, stride, padding)[0]
+    assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [((1, 0, 8, 8), (2, 0, 3, 3)),
+                                             ((3, 0, 8, 8), (2, 0, 3, 3)),
+                                             ((2, 3, 8, 8), (2, 3, 0, 3))],
+                         ids=["no-channels", "no-channels-batch", "no-kernel-rows"])
+def test_empty_patches_give_the_bias(x_shape, k_shape):
+    # An empty patch row makes every product an empty sum, in either form.
+    b = np.array([1.5, -2.0])
+    y = tensor.conv2d(np.ones(x_shape), np.ones(k_shape), b, tensor.ConvSpec(1, 1)).data
+    oh, ow = kernels.conv_output_hw(8, 8, k_shape[2], k_shape[3], 1, 1)
+    assert np.array_equal(y, np.broadcast_to(b[:, None, None], (x_shape[0], 2, oh, ow)))
+    ytrain, _ = kernels.conv2d_forward(np.ones(x_shape), np.ones(k_shape), b, 1, 1)
+    assert np.array_equal(ytrain, y)
 
 
 def test_eval_conv2d_forward_builds_no_patch_matrix():
