@@ -52,7 +52,10 @@ def stripe_first_diff(records: list[StripeRecord], threshold: float = 1e-3
 
     The convergence epoch of a channel is the first recorded epoch after
     which every subsequent delta stays below the threshold (-1 if never).
+    The threshold must be finite and positive.
     """
+    if not 0 < threshold < np.inf:
+        raise InvariantError(f"threshold must be finite and > 0, got {threshold!r}")
     epochs = sorted({r.epoch for r in records})
     if len(epochs) < 2:
         raise InvariantError("need records from >= 2 epochs")

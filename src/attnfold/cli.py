@@ -97,9 +97,15 @@ def read_stripes(path: Path) -> list[StripeRecord]:
     if not lines or lines[0] != "module,epoch,probe,channel,value":
         raise FormatError(f"{path}: unexpected stripe records header")
     tmp: dict[tuple[str, int, int], dict[int, float]] = {}
-    for line in lines[1:]:
-        module, epoch, probe, channel, value = line.split(",")
-        tmp.setdefault((module, int(epoch), int(probe)), {})[int(channel)] = float(value)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            module, epoch, probe, channel, value = line.split(",")
+            key, c, v = (module, int(epoch), int(probe)), int(channel), float(value)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: malformed stripe record {line!r}") from None
+        if not np.isfinite(v):
+            raise FormatError(f"{path}:{lineno}: non-finite stripe value {value!r}")
+        tmp.setdefault(key, {})[c] = v
     records = []
     for (module, epoch, probe), by_ch in sorted(tmp.items()):
         vec = np.array([by_ch[c] for c in sorted(by_ch)])

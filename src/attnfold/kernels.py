@@ -66,9 +66,42 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
 _BLOCK_BYTES = 1 << 20
 
 
-def _samples_per_block(rows: int, c: int, kh: int, kw: int) -> int:
-    """Whole samples of `rows` patch rows each whose patches fit `_BLOCK_BYTES`."""
-    return _BLOCK_BYTES // max(1, rows * c * kh * kw * 8)
+def _block_count(x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int) -> int:
+    """Near-equal blocks of whole samples `im2col`'s `k` form cuts a batch
+    into: as few as keep each block's patches within `_BLOCK_BYTES`, or one
+    block for the whole batch when fewer than two samples fit."""
+    n, c, h, w = x_shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    fit = _BLOCK_BYTES // max(1, oh * ow * c * kh * kw * 8)
+    return max(1, -(-n // fit)) if fit > 1 else 1
+
+
+def _patch_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, blocks: int):
+    """Yield (s, e, patch matrix of samples s:e) for `blocks` near-equal runs
+    of whole samples, in order: the one patch fill of the conv contract.
+
+    Each run is padded into one zero-bordered buffer and `take`n through
+    `_patch_index` into one patch buffer; both are reused from run to run,
+    and the padded one is freed before the last run is yielded.
+    """
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    m = -(-n // blocks)
+    # Padded buffer before index: a geometry too large for memory fails in
+    # numpy's allocation, not as an overflow in the index.
+    xp = np.zeros((m, c, hp, wp), dtype=np.float64)   # the border stays zero
+    idx = _patch_index(c, hp, wp, kh, kw, stride)
+    cols = np.empty((m, idx.size), dtype=np.float64)
+    for b in range(blocks):
+        s, e = n * b // blocks, n * (b + 1) // blocks
+        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+        # The index is in range by construction; "clip" spares `take` the
+        # copy through a temporary it makes for `out=` under "raise".
+        xp[:e - s].reshape(e - s, -1).take(idx, axis=1, out=cols[:e - s], mode="clip")
+        if e == n:
+            del xp   # so a one-block batch's GEMM does not hold the padded batch too
+        yield s, e, cols[:e - s].reshape((e - s) * oh * ow, c * kh * kw)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -78,98 +111,67 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
 
     Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
     ordered (c, i, j) like `k.reshape(O, -1)`. This layout and the GEMMs on
-    it are the conv contract. In train mode `conv2d_forward` multiplies the
-    whole matrix once, `cols @ k.T`, and caches it for dk = `dy.T @ cols`
-    (eval mode does the same, uncached, for a sample too large to block;
-    see `conv2d_forward`); a faster fill must keep every patch value, GEMM
-    operand and addition order, so that conv outputs and dk stay
-    bit-identical (the finite-difference gradient check is sensitive to one
-    ulp of the loss). The matrix is filled by one `take` of each padded
-    sample through a flat index that is built once per geometry
-    (`_patch_index`, an LRU cache); the result is always a fresh, writable
-    array.
+    it are the conv contract, one form per direction:
+    - train: y is one GEMM over the whole matrix, `cols @ k.reshape(O, -1).T`,
+      and `conv2d_forward` caches the matrix for dk = `dy.T @ cols`;
+    - eval, the `k` form: the batch is cut into `_block_count` blocks of
+      whole samples, and each block's patches are multiplied by
+      `k.reshape(O, -1).T` while in cache and their rows transposed into y,
+      so the whole matrix is never built. A batch of which fewer than two
+      samples fit `_BLOCK_BYTES` is one block;
+    - dx: `col2im` with `k`.
+    Both forms fill patches through `_patch_blocks`; the matrix is always a
+    fresh, writable array.
 
-    The `k` form is the block form of eval mode. The batch is cut into as
-    few blocks of whole samples as keep each block's patches within
-    `_BLOCK_BYTES` (a larger sample is a block of its own), of near-equal
-    size. Each block is padded and taken into reused buffers, multiplied by
-    `k.reshape(O, -1).T` at once and its rows transposed into the output,
-    all while in cache, so neither the padded batch nor the full matrix is
-    ever allocated. When the batch fits one block this is the one-GEMM form
-    and bit-equal to it. Across blocks BLAS sees a smaller M and may take
-    another kernel, so y may differ from the one-GEMM form by rounding
-    (on one OpenBLAS host, at most 1.2e-15 of max |y| over 3024 geometries,
-    most of them bit-equal); which cases are bit-equal depends on the BLAS
-    build and the CPU.
+    Bit rules: a faster fill must keep every patch value, GEMM operand and
+    addition order, so that conv outputs and dk stay bit-identical (the
+    finite-difference gradient check is sensitive to one ulp of the loss).
+    A one-block `k` form runs the train GEMM and is bit-equal to it. Across
+    blocks BLAS sees a smaller M and may take another kernel, so y may
+    differ from the one-GEMM form by rounding (on one OpenBLAS host, at most
+    1.2e-15 of max |y| over 3024 geometries, most of them bit-equal); which
+    cases are bit-equal depends on the BLAS build and the CPU.
     """
-    n, c, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
     if k is None:
-        if padding > 0:
-            xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-            xp[:, :, padding:padding + h, padding:padding + w] = x
-            x = xp
-        idx = _patch_index(c, hp, wp, kh, kw, stride)
-        return x.reshape(n, -1).take(idx, axis=1).reshape(n * oh * ow, c * kh * kw)
-    o, rows = k.shape[0], oh * ow
-    # As few blocks as the budget allows, of near-equal size: no short last block.
-    blocks = max(1, -(-n // max(1, _samples_per_block(rows, c, kh, kw))))
-    m = -(-n // blocks)
-    # Padded buffer before index, as in the full form: a geometry too large
-    # for memory fails in numpy's allocation, not as an overflow in the index.
-    xp = np.zeros((m, c, hp, wp), dtype=np.float64)   # the border stays zero
-    idx = _patch_index(c, hp, wp, kh, kw, stride)
-    cols = np.empty((m, idx.size), dtype=np.float64)
-    out = np.empty((m * rows, o), dtype=np.float64)
-    y = np.empty((n, o, oh, ow), dtype=np.float64)
+        return next(_patch_blocks(x, kh, kw, stride, padding, 1))[2]
+    n, _, h, w = x.shape
+    o = k.shape[0]
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     k2t = k.reshape(o, -1).T
-    for b in range(blocks):
-        s, e = n * b // blocks, n * (b + 1) // blocks
-        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
-        # The index is in range by construction; "clip" spares `take` the
-        # copy through a temporary it makes for `out=` under "raise".
-        xp[:e - s].reshape(e - s, -1).take(idx, axis=1, out=cols[:e - s], mode="clip")
-        np.matmul(cols[:e - s].reshape((e - s) * rows, c * kh * kw), k2t,
-                  out=out[:(e - s) * rows])
-        y[s:e] = out[:(e - s) * rows].reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
+    y = np.empty((n, o, oh, ow), dtype=np.float64)
+    for s, e, cols in _patch_blocks(x, kh, kw, stride, padding,
+                                    _block_count(x.shape, kh, kw, stride, padding)):
+        y[s:e] = (cols @ k2t).reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
     return y
 
 
-def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
-           stride: int, padding: int, k: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patches back to [N,C,H,W].
+def col2im(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
+           stride: int, padding: int) -> np.ndarray:
+    """dL/dx [N,C,H,W] from the dL/dy rows [N*OH*OW, O] and kernels k
+    [O,C,kh,kw]: the adjoint of `im2col`, the backward half of the conv
+    contract.
 
-    This is the backward half of the conv contract whose forward half is in
-    `im2col`. Only train mode runs it: dk is one GEMM over the patch matrix
-    cached by `conv2d_forward`, and dx is formed here, one sample at a time.
-    Without `k`, `cols` is the [N*OH*OW, C*kh*kw] patch matrix; each
-    sample's rows are transposed once into a reused tap-major buffer. With
-    kernels `k` [O,C,kh,kw], `cols` holds the dL/dy rows [N*OH*OW, O] and
-    each sample's taps are formed by one GEMM written straight into that
-    buffer, `k.reshape(O, -1).T @ rows.T`, so the full patch-sized product
-    `rows @ k.reshape(O, -1)` is never built. Either way the taps are then
-    added in (i, j) order, so every pixel sums its contributions in the
-    same order as a tap-by-tap scatter over the batch. The `k` form's taps
-    equal the product's entries up to rounding only: the GEMM runs with
-    its operands swapped, so BLAS may pick another kernel for the same
-    O-term dot products.
+    Each sample's patch gradients are formed by one GEMM written straight
+    into a reused tap-major buffer, `k.reshape(O, -1).T @ rows.T`, so the
+    patch-sized product `dy_rows @ k.reshape(O, -1)` is never built. The
+    taps are then added in (i, j) order, so every pixel sums its
+    contributions in the same order as a tap-by-tap scatter over the batch.
+    The taps equal the product's entries up to rounding only: the GEMM runs
+    with its operands swapped, so BLAS may pick another kernel for the same
+    O-term dot products (dx stays within a few ulps of max |dx|). With the
+    identity kernel `np.eye(C*kh*kw).reshape(-1, C, kh, kw)` the rows are
+    patches and the result is their exact tap-order scatter.
     """
     n, c, h, w = x_shape
+    o, _, kh, kw = k.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    rows = dy_rows.reshape(n, oh * ow, o)
+    k2t = k.reshape(o, -1).T
     taps = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
-    if k is None:
-        cols = cols.reshape(n, oh, ow, c, kh, kw)
-    else:
-        rows = cols.reshape(n, oh * ow, k.shape[0])
-        k2t = k.reshape(k.shape[0], -1).T
-        tap_rows = taps.reshape(c * kh * kw, oh * ow)
+    tap_rows = taps.reshape(c * kh * kw, oh * ow)
     img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
     for s in range(n):
-        if k is None:
-            taps[...] = cols[s].transpose(2, 3, 4, 0, 1)
-        else:
-            np.matmul(k2t, rows[s].T, out=tap_rows)
+        np.matmul(k2t, rows[s].T, out=tap_rows)
         for i in range(kh):
             i_max = i + stride * oh
             for j in range(kw):
@@ -185,55 +187,37 @@ def _output_rows(y: np.ndarray) -> np.ndarray:
     return y.transpose(0, 2, 3, 1).reshape(-1, y.shape[1])
 
 
-def _input_grad(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
-                stride: int, padding: int) -> np.ndarray:
-    """dL/dx from the dL/dy rows [N*OH*OW, O] and kernels k [O,C,kh,kw].
-
-    The GEMM `dy_rows @ k.reshape(O, -1)` is fused into col2im's per-sample
-    loop (its `k` form), so no [N*OH*OW, C*kh*kw] matrix is allocated. The
-    forward pass is untouched and stays bit-identical; dx may differ from
-    the one-GEMM form by rounding only (a few ulps of max |dx|).
-    """
-    _, _, kh, kw = k.shape
-    return col2im(dy_rows, x_shape, kh, kw, stride, padding, k=k)
-
-
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
                    padding: int, train: bool = True) -> tuple[np.ndarray, dict | None]:
     """y [N,O,OH,OW] of kernels k [O,C,kh,kw] plus bias b [O], and the cache
     for `conv2d_backward`.
 
     In train mode y is one GEMM over the whole patch matrix, which the cache
-    keeps for dk. In eval mode (`train=False`) no backward pass follows and
-    the cache is None. There y comes from `im2col`'s block form, which never
-    builds the whole matrix, when a block holds at least two samples. When
-    one sample's patches alone exceed the block budget, a block no longer
-    stays in cache from its fill to its GEMM, and y is the one-GEMM form of
-    train mode (at 16x16x32x32 with 16 output channels, 1.2 MB of patches a
-    sample, that conv measured about 25% faster than one-sample blocks).
-    The bias is added to the same products either way; see `im2col` for
-    when the two forms agree bit for bit.
+    keeps for dk. In eval mode (`train=False`) no backward pass follows, the
+    cache is None and y is `im2col`'s block form; see `im2col` for the
+    contract and when the two forms agree bit for bit. The bias is added to
+    the same products in either form.
     """
-    n, c, h, w = x.shape
     o, _, kh, kw = k.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    if not train and _samples_per_block(oh * ow, c, kh, kw) > 1:
+    if not train:
         y = im2col(x, kh, kw, stride, padding, k=k)
         y += b[:, None, None]
         return y, None
+    n, _, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     cols = im2col(x, kh, kw, stride, padding)
     y = cols @ k.reshape(o, -1).T
     y += b
     y = y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
     cache = {"cols": cols, "x_shape": x.shape, "k_shape": k.shape,
-             "stride": stride, "padding": padding} if train else None
+             "stride": stride, "padding": padding}
     return np.ascontiguousarray(y), cache
 
 
 def conv2d_backward_input(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
                           stride: int, padding: int) -> np.ndarray:
     """dL/dx of a conv with kernels k [O,C,kh,kw] given dL/dy [N,O,OH,OW]."""
-    return _input_grad(_output_rows(dy), k, x_shape, stride, padding)
+    return col2im(_output_rows(dy), k, x_shape, stride, padding)
 
 
 def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict
@@ -241,7 +225,7 @@ def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict
     dy_rows = _output_rows(dy)
     db = dy_rows.sum(axis=0)
     dk = (dy_rows.T @ cache["cols"]).reshape(cache["k_shape"])
-    dx = _input_grad(dy_rows, k, cache["x_shape"], cache["stride"], cache["padding"])
+    dx = col2im(dy_rows, k, cache["x_shape"], cache["stride"], cache["padding"])
     return dx, dk, db
 
 

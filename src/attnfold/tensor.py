@@ -53,12 +53,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def tolist(self):
-        return self.data.tolist()
-
-    def item(self) -> float:
-        return self.data.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

@@ -69,6 +69,13 @@ class TestStripeFirstDiff:
         assert fd.convergence[("m", 0)][0] == -1
         assert fd.convergence[("m", 1)][0] == 1
 
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0, 0.0, np.inf, -np.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # nan and -1 made every channel "never", inf every channel "at once".
+        records = [rec("m", e, p, [0.5]) for e in (1, 2) for p in (0, 1)]
+        with pytest.raises(InvariantError, match="threshold"):
+            stripe_first_diff(records, threshold=threshold)
+
     def test_recompute_matches_training_records(self):
         cfg = cfg_tiny(model=dict(attention="se", attention_mode="standard",
                                   se_reduction=2),

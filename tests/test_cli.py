@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from attnfold import (AttachSpec, AttentionKind, build_toy_resnet, init_params,
-                      load_checkpoint, save_checkpoint)
+from attnfold import (AttachSpec, AttentionKind, FormatError, build_toy_resnet,
+                      init_params, load_checkpoint, save_checkpoint)
 from attnfold import cli
 from attnfold.cli import main
 
@@ -421,6 +421,34 @@ class TestStripeCommand:
         assert run(["--out-root", root / "sruns", "stripe", only_run_dir(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not list((root / "sruns").glob("*"))
+
+
+    STILL = ("module,epoch,probe,channel,value\n"
+             "m,1,0,0,0.5\nm,1,1,0,0.5\nm,2,0,0,0.5\nm,2,1,0,0.5\n")
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+    def test_bad_threshold_exits_1(self, tmp_path, capsys, threshold):
+        records = tmp_path / "stripe_records.csv"
+        records.write_text(self.STILL)
+        out = tmp_path / "sruns"
+        assert run(["--out-root", out, "stripe", records, f"--threshold={threshold}"]) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("*"))
+
+    @pytest.mark.parametrize("row", ["m,2,1,0", "m,2,1,0,0.5,7", "m,x,1,0,0.5",
+                                     "m,2,1.5,0,0.5", "m,2,1,c,0.5", "m,2,1,0,nan",
+                                     "m,2,1,0,-inf"],
+                             ids=["short", "long", "epoch", "probe", "channel",
+                                  "nan-value", "inf-value"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
+        records = tmp_path / "stripe_records.csv"
+        records.write_text(self.STILL.replace("m,2,1,0,0.5", row))
+        with pytest.raises(FormatError, match=f"stripe_records.csv:5: "):
+            cli.read_stripes(records)
+        out = tmp_path / "sruns"
+        assert run(["--out-root", out, "stripe", records]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:5: ")
+        assert not out.exists() or not list(out.glob("*"))
 
 
 class TestChainPerturb:

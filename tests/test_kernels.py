@@ -52,20 +52,28 @@ def test_im2col_matches_loop(case):
     assert np.array_equal(kernels.im2col(x, *geom), loop_im2col(x, *geom))
 
 
+def identity_kernel(c, kh, kw):
+    """Kernels whose dL/dy rows are patches: `col2im` of them is a pure scatter."""
+    return np.eye(c * kh * kw).reshape(-1, c, kh, kw)
+
+
 def test_col2im_matches_tap_order_loop(case):
-    rng, shape, geom = case
-    rows = loop_im2col(np.zeros(shape), *geom).shape
+    rng, shape, (kh, kw, stride, padding) = case
+    rows = loop_im2col(np.zeros(shape), kh, kw, stride, padding).shape
     cols = rng.standard_normal(rows)
-    assert np.array_equal(kernels.col2im(cols, shape, *geom), loop_col2im(cols, shape, *geom))
+    eye = identity_kernel(shape[1], kh, kw)
+    assert np.array_equal(kernels.col2im(cols, eye, shape, stride, padding),
+                          loop_col2im(cols, shape, kh, kw, stride, padding))
 
 
 def test_adjoint_identity(case):
-    rng, shape, geom = case
+    rng, shape, (kh, kw, stride, padding) = case
     x = rng.standard_normal(shape)
-    cols = kernels.im2col(x, *geom)
+    cols = kernels.im2col(x, kh, kw, stride, padding)
     p = rng.standard_normal(cols.shape)
     lhs = float((cols * p).sum())
-    rhs = float((x * kernels.col2im(p, shape, *geom)).sum())
+    dx = kernels.col2im(p, identity_kernel(shape[1], kh, kw), shape, stride, padding)
+    rhs = float((x * dx).sum())
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -150,35 +158,46 @@ def one_gemm(x, k, stride, padding):
     return rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
 
-def blocks(shape, kh, kw, stride, padding):
-    """The number of sample blocks `im2col`'s `k` form cuts a batch into."""
-    n, c, h, w = shape
-    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
-    return -(-n // max(1, kernels._samples_per_block(oh * ow, c, kh, kw)))
-
-
-def test_block_form_equals_one_gemm(case):
-    # The whole batch fits one block, so the block form runs the same GEMM.
-    rng, shape, (kh, kw, stride, padding) = case
-    assert blocks(shape, kh, kw, stride, padding) == 1
-    x = rng.standard_normal(shape)
-    k = rng.standard_normal((2, shape[1], kh, kw))
+def assert_one_block_is_one_gemm(x, k, stride, padding):
+    # The whole batch is one block, so the block form runs the same GEMM.
+    kh, kw = k.shape[2:]
+    assert kernels._block_count(x.shape, kh, kw, stride, padding) == 1
     want = one_gemm(x, k, stride, padding)
     got = kernels.im2col(x, kh, kw, stride, padding, k=k)
     assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_block_form_equals_one_gemm(case):
+    rng, shape, (kh, kw, stride, padding) = case
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    assert_one_block_is_one_gemm(x, k, stride, padding)
 
 
 # (x shape, output channels, kernel side, stride, padding), all multi-block.
 MULTI_BLOCK = {
     "deploy-conv": ((64, 16, 16, 16), 16, 3, 1, 1),
     "deploy-stem": ((64, 3, 16, 16), 16, 3, 1, 1),
-    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # one sample a block
     "stride-2": ((64, 16, 16, 16), 8, 3, 2, 1),
     "uneven-blocks": ((37, 16, 16, 16), 4, 3, 1, 1),   # 3 samples a block, 37 = 12 * 3 + 1
     "o1": ((19, 16, 16, 16), 1, 3, 1, 0),
     "o2": ((5, 16, 16, 16), 2, 3, 1, 1),
-    "o3": ((8, 16, 16, 16), 3, 5, 1, 1),
+    "o3": ((8, 16, 12, 12), 3, 5, 1, 1),
 }
+# Fewer than two samples' patches fit the block budget, so the batch is one block.
+ONE_BLOCK = {
+    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # 1.2 MB of patches a sample
+    "o3-one-sample": ((8, 16, 16, 16), 3, 5, 1, 1),   # 0.6 MB: one sample would fit
+}
+
+
+@pytest.mark.parametrize("geom", ONE_BLOCK.values(), ids=ONE_BLOCK.keys())
+def test_one_block_form_equals_one_gemm(geom):
+    shape, o, kk, stride, padding = geom
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    assert_one_block_is_one_gemm(x, k, stride, padding)
 
 
 @pytest.mark.parametrize("geom", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
@@ -187,7 +206,7 @@ def test_multi_block_form_near_extended_precision_oracle(geom):
     # for the whole product, so y can differ from the one-GEMM form by
     # rounding; hold it to a long-double oracle instead.
     shape, o, kk, stride, padding = geom
-    assert blocks(shape, kk, kk, stride, padding) > 1
+    assert kernels._block_count(shape, kk, kk, stride, padding) > 1
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
@@ -199,24 +218,22 @@ def test_multi_block_form_near_extended_precision_oracle(geom):
 
 @pytest.mark.parametrize("name", ["deploy-conv", "deploy-stem", "stride-2", "train-eval"])
 def test_eval_conv2d_forward_blocks_only_several_samples(name):
-    # Eval mode takes the block form when a block holds two samples or more,
-    # and the one-GEMM form of train mode when one sample fills a block.
-    shape, o, kk, stride, padding = MULTI_BLOCK[name]
-    n, c, h, w = shape
-    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
-    several = kernels._samples_per_block(oh * ow, c, kk, kk) > 1
-    assert several == (name != "train-eval")
+    # Eval mode is always the block form plus the bias. The batch is cut
+    # into several blocks only when a block holds two samples or more; when
+    # one sample fills a block, the one block is train mode's one GEMM.
+    shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_BLOCK}[name]
+    several = kernels._block_count(shape, kk, kk, stride, padding) > 1
+    assert several == (name in MULTI_BLOCK)
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
-    k = rng.standard_normal((o, c, kk, kk))
+    k = rng.standard_normal((o, shape[1], kk, kk))
     b = rng.standard_normal(o)
     y, cache = kernels.conv2d_forward(x, k, b, stride, padding, train=False)
     assert cache is None
-    if several:
-        want = kernels.im2col(x, kk, kk, stride, padding, k=k) + b[:, None, None]
-    else:
-        want = kernels.conv2d_forward(x, k, b, stride, padding)[0]
+    want = kernels.im2col(x, kk, kk, stride, padding, k=k) + b[:, None, None]
     assert y.tobytes() == want.tobytes()
+    if not several:
+        assert y.tobytes() == kernels.conv2d_forward(x, k, b, stride, padding)[0].tobytes()
 
 
 @pytest.mark.parametrize("x_shape,k_shape", [((1, 0, 8, 8), (2, 0, 3, 3)),
@@ -246,6 +263,25 @@ def test_eval_conv2d_forward_builds_no_patch_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 16 * 16 * 16 * 9 * 8
+
+
+def test_one_block_eval_forward_holds_one_patch_matrix():
+    # A batch whose samples exceed the block budget is one block: the eval
+    # forward may hold its patch matrix, the output, the GEMM result and one
+    # more output-sized array, and the index, but not the padded batch too.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 16, 32, 32))
+    k = rng.standard_normal((16, 16, 3, 3))
+    kernels._patch_index.cache_clear()   # the index is built inside the window
+    tracemalloc.start()
+    try:
+        y, _ = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    patches = 16 * 32 * 32 * 16 * 9 * 8
+    index = 32 * 32 * 16 * 9 * 8
+    assert peak < patches + 3 * y.nbytes + index
 
 
 def test_patch_index_is_cached_and_read_only():
