@@ -96,7 +96,7 @@ def read_stripes(path: Path) -> list[StripeRecord]:
     lines = path.read_text().splitlines()
     if not lines or lines[0] != "module,epoch,probe,channel,value":
         raise FormatError(f"{path}: unexpected stripe records header")
-    tmp: dict[tuple[str, int, int], dict[int, float]] = {}
+    tmp: dict[tuple[str, int, int], dict[int, tuple[float, int]]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             module, epoch, probe, channel, value = line.split(",")
@@ -105,10 +105,19 @@ def read_stripes(path: Path) -> list[StripeRecord]:
             raise FormatError(f"{path}:{lineno}: malformed stripe record {line!r}") from None
         if not np.isfinite(v):
             raise FormatError(f"{path}:{lineno}: non-finite stripe value {value!r}")
-        tmp.setdefault(key, {})[c] = v
+        by_ch = tmp.setdefault(key, {})
+        if c in by_ch:
+            raise FormatError(f"{path}:{lineno}: duplicate stripe record {line!r}, "
+                              f"first at line {by_ch[c][1]}")
+        by_ch[c] = (v, lineno)
     records = []
     for (module, epoch, probe), by_ch in sorted(tmp.items()):
-        vec = np.array([by_ch[c] for c in sorted(by_ch)])
+        # Channels are 0..C-1, one row each: a gap would renumber the rest.
+        for want, c in enumerate(sorted(by_ch)):
+            if c != want:
+                raise FormatError(f"{path}:{by_ch[c][1]}: stripe channel {c} of {module} "
+                                  f"epoch {epoch} probe {probe} without channel {want}")
+        vec = np.array([by_ch[c][0] for c in range(len(by_ch))])
         records.append(StripeRecord(module=module, epoch=epoch, probe=probe, vector=vec))
     return records
 

@@ -87,10 +87,10 @@ class FusionReport:
     max_deviation: float = 0.0
 
     def to_csv(self) -> str:
-        lines = ["slot_id,fold_kind,target_layer,through_relu,max_dev"]
+        lines = ["slot_id,fold_kind,target_layer,through_relu,max_dev,vector_norm"]
         for r in self.rows:
             lines.append(f"{r.slot_id},{r.fold_kind},{r.target_layer},"
-                         f"{int(r.through_relu)},{self.max_deviation!r}")
+                         f"{int(r.through_relu)},{self.max_deviation!r},{r.vector_norm!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -50,58 +50,23 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
     """Flat offsets of every patch element in one padded [C,Hp,Wp] sample.
 
     Ordered (oh, ow, c, i, j), i.e. the patch matrix's rows then columns.
-    Cached per geometry and read-only, since every caller shares it.
+    Cached per geometry and returned as a read-only view, since every caller
+    shares it; its `base` is the writable index `take` needs.
     """
     oh, ow = conv_output_hw(hp, wp, kh, kw, stride, 0)
     tap = (np.arange(c)[:, None, None] * (hp * wp)
            + np.arange(kh)[None, :, None] * wp + np.arange(kw)[None, None, :])
     corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow)[None, :] * stride
-    idx = (corner.reshape(-1, 1) + tap.reshape(1, -1)).ravel()
-    idx.flags.writeable = False
-    return idx
+    idx = np.empty(oh * ow * tap.size, dtype=np.intp)
+    np.add(corner.reshape(-1, 1), tap.reshape(1, -1), out=idx.reshape(oh * ow, -1))
+    view = idx.view()
+    view.flags.writeable = False
+    return view
 
 
-# Eval-mode convolution fills and multiplies the patches of whole samples,
-# at most this many bytes of them at a time (`im2col`'s `k` form).
+# Eval-mode convolution copies and multiplies whole samples, at most this
+# many bytes of tap-major matrix at a time (`im2col`'s `k` form).
 _BLOCK_BYTES = 1 << 20
-
-
-def _block_count(x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int) -> int:
-    """Near-equal blocks of whole samples `im2col`'s `k` form cuts a batch
-    into: as few as keep each block's patches within `_BLOCK_BYTES`, or one
-    block for the whole batch when fewer than two samples fit."""
-    n, c, h, w = x_shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    fit = _BLOCK_BYTES // max(1, oh * ow * c * kh * kw * 8)
-    return max(1, -(-n // fit)) if fit > 1 else 1
-
-
-def _patch_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, blocks: int):
-    """Yield (s, e, patch matrix of samples s:e) for `blocks` near-equal runs
-    of whole samples, in order: the one patch fill of the conv contract.
-
-    Each run is padded into one zero-bordered buffer and `take`n through
-    `_patch_index` into one patch buffer; both are reused from run to run,
-    and the padded one is freed before the last run is yielded.
-    """
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    m = -(-n // blocks)
-    # Padded buffer before index: a geometry too large for memory fails in
-    # numpy's allocation, not as an overflow in the index.
-    xp = np.zeros((m, c, hp, wp), dtype=np.float64)   # the border stays zero
-    idx = _patch_index(c, hp, wp, kh, kw, stride)
-    cols = np.empty((m, idx.size), dtype=np.float64)
-    for b in range(blocks):
-        s, e = n * b // blocks, n * (b + 1) // blocks
-        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
-        # The index is in range by construction; "clip" spares `take` the
-        # copy through a temporary it makes for `out=` under "raise".
-        xp[:e - s].reshape(e - s, -1).take(idx, axis=1, out=cols[:e - s], mode="clip")
-        if e == n:
-            del xp   # so a one-block batch's GEMM does not hold the padded batch too
-        yield s, e, cols[:e - s].reshape((e - s) * oh * ow, c * kh * kw)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -110,38 +75,76 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     kernels `k` [O,C,kh,kw], the bias-free conv output [N,O,OH,OW] instead.
 
     Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
-    ordered (c, i, j) like `k.reshape(O, -1)`. This layout and the GEMMs on
-    it are the conv contract, one form per direction:
-    - train: y is one GEMM over the whole matrix, `cols @ k.reshape(O, -1).T`,
-      and `conv2d_forward` caches the matrix for dk = `dy.T @ cols`;
-    - eval, the `k` form: the batch is cut into `_block_count` blocks of
-      whole samples, and each block's patches are multiplied by
-      `k.reshape(O, -1).T` while in cache and their rows transposed into y,
-      so the whole matrix is never built. A batch of which fewer than two
-      samples fit `_BLOCK_BYTES` is one block;
+    ordered (c, i, j) like `k.reshape(O, -1)`. The conv contract has one form
+    per direction:
+    - train: the batch is padded into one zero-bordered buffer and `take`n
+      through `_patch_index` into the matrix, a fresh, writable array; y is
+      one GEMM over it, `cols @ k.reshape(O, -1).T`, and `conv2d_forward`
+      caches it for dk = `dy.T @ cols`;
+    - eval, the `k` form: the batch is cut into as few near-equal blocks of
+      whole samples as keep each block's T within `_BLOCK_BYTES`, one sample
+      a block when a sample alone exceeds it. Each block is padded into a
+      reused buffer and copied tap-major, by one `np.copyto` from a strided
+      view, into a reused matrix T[(c, i, j), (sample, oh, w')] whose rows
+      are runs of the padded input: at stride 1 one contiguous run per tap
+      and sample over the full padded width (the buffer ends in kw - 1 zeros
+      so the last run stays in bounds), else the OW strided elements of each
+      output row. y[block] is the valid columns of `k.reshape(O, -1) @ T`, so
+      the patch matrix is never built;
     - dx: `col2im` with `k`.
-    Both forms fill patches through `_patch_blocks`; the matrix is always a
-    fresh, writable array.
 
-    Bit rules: a faster fill must keep every patch value, GEMM operand and
-    addition order, so that conv outputs and dk stay bit-identical (the
-    finite-difference gradient check is sensitive to one ulp of the loss).
-    A one-block `k` form runs the train GEMM and is bit-equal to it. Across
-    blocks BLAS sees a smaller M and may take another kernel, so y may
-    differ from the one-GEMM form by rounding (on one OpenBLAS host, at most
-    1.2e-15 of max |y| over 3024 geometries, most of them bit-equal); which
-    cases are bit-equal depends on the BLAS build and the CPU.
+    Bit rules: train y and dk keep every patch value, GEMM operand and
+    addition order, so they are bit-identical from run to run and to the
+    one-GEMM form (the finite-difference gradient check is sensitive to one
+    ulp of the loss). The eval form runs other GEMMs, with the operands
+    swapped and over blocks of the batch, so BLAS may take other kernels:
+    its y equals the train y up to rounding (within 1e-14 of max |y| against
+    a long-double oracle) and repeats its own bytes exactly. Which cases are
+    bit-equal to the train y depends on the BLAS build and the CPU.
     """
-    if k is None:
-        return next(_patch_blocks(x, kh, kw, stride, padding, 1))[2]
-    n, _, h, w = x.shape
-    o = k.shape[0]
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    k2t = k.reshape(o, -1).T
+    if k is None:
+        # Padded batch before index: a geometry too large for memory fails in
+        # numpy's allocation, not as an overflow in the index.
+        xp = np.zeros((n, c, hp, wp), dtype=np.float64)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        # `take` copies a read-only index on every call, so it reads the
+        # cached index's writable base. The index is in range by construction;
+        # "clip" spares `take` the copy through a temporary it makes for
+        # `out=` under "raise".
+        idx = _patch_index(c, hp, wp, kh, kw, stride).base
+        cols = np.empty((n, idx.size), dtype=np.float64)
+        xp.reshape(n, -1).take(idx, axis=1, out=cols, mode="clip")
+        return cols.reshape(n * oh * ow, c * kh * kw)
+    o = k.shape[0]
+    rows = c * kh * kw
+    if rows == 0:   # every product is an empty sum
+        return np.zeros((n, o, oh, ow), dtype=np.float64)
+    # Stride 1 multiplies the full padded width and drops the last kw - 1
+    # columns of each row, which read on into the next row, sample or stale
+    # block; larger strides read only the OW valid ones.
+    wr = wp if stride == 1 else ow
+    fit = max(1, _BLOCK_BYTES // (rows * oh * wr * 8))
+    blocks = max(1, -(-n // fit))
+    m = -(-n // blocks)
+    size = c * hp * wp
+    flat = np.zeros(m * size + kw - 1, dtype=np.float64)   # the border stays zero
+    xp = flat[:m * size].reshape(m, c, hp, wp)
+    taps = np.empty(rows * m * oh * wr, dtype=np.float64)
+    prod = np.empty(o * m * oh * wr, dtype=np.float64)
+    k2 = k.reshape(o, rows)
     y = np.empty((n, o, oh, ow), dtype=np.float64)
-    for s, e, cols in _patch_blocks(x, kh, kw, stride, padding,
-                                    _block_count(x.shape, kh, kw, stride, padding)):
-        y[s:e] = (cols @ k2t).reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
+    runs = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
+    for b in range(blocks):
+        s, e = n * b // blocks, n * (b + 1) // blocks
+        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+        t = taps[:rows * (e - s) * oh * wr].reshape(c, kh, kw, e - s, oh, wr)
+        np.copyto(t, np.ndarray(t.shape, buffer=flat, strides=runs))   # bounds-checked view
+        p = prod[:o * (e - s) * oh * wr].reshape(o, -1)
+        np.matmul(k2, t.reshape(rows, -1), out=p)
+        y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
     return y
 
 
@@ -194,9 +197,9 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
 
     In train mode y is one GEMM over the whole patch matrix, which the cache
     keeps for dk. In eval mode (`train=False`) no backward pass follows, the
-    cache is None and y is `im2col`'s block form; see `im2col` for the
-    contract and when the two forms agree bit for bit. The bias is added to
-    the same products in either form.
+    cache is None and y is `im2col`'s tap-major `k` form plus the bias, equal
+    to the train y up to rounding; see `im2col` for the contract and its bit
+    rules.
     """
     o, _, kh, kw = k.shape
     if not train:

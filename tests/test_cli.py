@@ -158,7 +158,7 @@ class TestFuseVerify:
         report = root / "fused_fusion_report.csv"
         assert report.exists()
         lines = report.read_text().splitlines()
-        assert lines[0] == "slot_id,fold_kind,target_layer,through_relu,max_dev"
+        assert lines[0] == "slot_id,fold_kind,target_layer,through_relu,max_dev,vector_norm"
         assert len(lines) == 2
         assert run(["verify", ckpt, fused, "--tol", "1e-9"]) == 0
 
@@ -225,7 +225,7 @@ class TestFuseVerify:
         assert fused.read_bytes() == ckpt.read_bytes()
         report = root / "plain_fused_fusion_report.csv"
         assert report.read_text().splitlines() == [
-            "slot_id,fold_kind,target_layer,through_relu,max_dev"]
+            "slot_id,fold_kind,target_layer,through_relu,max_dev,vector_norm"]
 
     def test_fused_checkpoint_is_deterministic(self, workspace):
         root, cfg = workspace
@@ -448,6 +448,20 @@ class TestStripeCommand:
         out = tmp_path / "sruns"
         assert run(["--out-root", out, "stripe", records]) == 1
         assert capsys.readouterr().err.startswith(f"error: {records}:5: ")
+        assert not out.exists() or not list(out.glob("*"))
+
+    @pytest.mark.parametrize("row", ["m,2,1,0,0.9", "m,2,1,5,0.5", "m,2,1,-1,0.5"],
+                             ids=["duplicate", "gap", "negative"])
+    def test_channels_not_0_to_c_name_path_and_line(self, tmp_path, capsys, row):
+        # Channels must be 0..C-1 with one row each; a repeated row used to
+        # replace the first and channels 0, 5 to be renumbered 0, 1.
+        records = tmp_path / "stripe_records.csv"
+        records.write_text(self.STILL + row + "\n")
+        with pytest.raises(FormatError, match=f"stripe_records.csv:6: "):
+            cli.read_stripes(records)
+        out = tmp_path / "sruns"
+        assert run(["--out-root", out, "stripe", records]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records}:6: ")
         assert not out.exists() or not list(out.glob("*"))
 
 

@@ -312,9 +312,10 @@ class TestFusionReportCsv:
         p = init_params(g, seed=14)
         _, _, report = fuse_model(g, p, verify_samples=5)
         lines = report.to_csv().strip().split("\n")
-        assert lines[0] == "slot_id,fold_kind,target_layer,through_relu,max_dev"
+        assert lines[0] == "slot_id,fold_kind,target_layer,through_relu,max_dev,vector_norm"
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[0] == "block0.asr0"
         assert cells[1] == "into_bn"
         assert cells[2] == "block0.bn2"
+        assert cells[5] == repr(report.rows[0].vector_norm)

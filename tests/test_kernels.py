@@ -1,5 +1,5 @@
 """Conv and eval-BN kernels against loop and formula oracles: exact values,
-adjointness, fresh output, the cached patch index, the eval block form."""
+adjointness, fresh output, the cached patch index, the eval tap-major form."""
 
 import itertools
 import tracemalloc
@@ -158,20 +158,33 @@ def one_gemm(x, k, stride, padding):
     return rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
 
 
-def assert_one_block_is_one_gemm(x, k, stride, padding):
-    # The whole batch is one block, so the block form runs the same GEMM.
+def assert_eval_form_near_oracle(x, k, stride, padding):
+    # The eval form multiplies tap-major blocks with the operands swapped, so
+    # BLAS may round otherwise than the one-GEMM train form: hold y to a
+    # long-double oracle, and to its own bytes from call to call.
     kh, kw = k.shape[2:]
-    assert kernels._block_count(x.shape, kh, kw, stride, padding) == 1
-    want = one_gemm(x, k, stride, padding)
-    got = kernels.im2col(x, kh, kw, stride, padding, k=k)
-    assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    want = one_gemm(x.astype(np.longdouble), k.astype(np.longdouble), stride, padding)
+    y = kernels.im2col(x, kh, kw, stride, padding, k=k)
+    assert y.shape == want.shape and y.flags.c_contiguous
+    assert np.abs(y - want).max() <= 1e-14 * np.abs(want).max()
+    assert y.tobytes() == kernels.im2col(x, kh, kw, stride, padding, k=k).tobytes()
 
 
 def test_block_form_equals_one_gemm(case):
+    # Equal up to rounding: see assert_eval_form_near_oracle.
     rng, shape, (kh, kw, stride, padding) = case
     x = rng.standard_normal(shape)
     k = rng.standard_normal((2, shape[1], kh, kw))
-    assert_one_block_is_one_gemm(x, k, stride, padding)
+    assert_eval_form_near_oracle(x, k, stride, padding)
+
+
+def samples_per_block(shape, kk, stride, padding):
+    """Samples in a full block of the eval form: as many as keep its
+    tap-major matrix (full padded rows at stride 1) within the budget."""
+    n, c, h, w = shape
+    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
+    width = w + 2 * padding if stride == 1 else ow
+    return min(n, max(1, kernels._BLOCK_BYTES // (c * kk * kk * oh * width * 8)))
 
 
 # (x shape, output channels, kernel side, stride, padding), all multi-block.
@@ -184,46 +197,38 @@ MULTI_BLOCK = {
     "o2": ((5, 16, 16, 16), 2, 3, 1, 1),
     "o3": ((8, 16, 12, 12), 3, 5, 1, 1),
 }
-# Fewer than two samples' patches fit the block budget, so the batch is one block.
+# One sample's tap-major matrix fills the block budget: one sample a block.
 ONE_BLOCK = {
-    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # 1.2 MB of patches a sample
-    "o3-one-sample": ((8, 16, 16, 16), 3, 5, 1, 1),   # 0.6 MB: one sample would fit
+    "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # 1.3 MB a sample
+    "o3-one-sample": ((8, 16, 16, 16), 3, 5, 1, 1),   # 0.8 MB: two samples would not fit
 }
 
 
 @pytest.mark.parametrize("geom", ONE_BLOCK.values(), ids=ONE_BLOCK.keys())
 def test_one_block_form_equals_one_gemm(geom):
     shape, o, kk, stride, padding = geom
+    assert samples_per_block(shape, kk, stride, padding) == 1
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
-    assert_one_block_is_one_gemm(x, k, stride, padding)
+    assert_eval_form_near_oracle(x, k, stride, padding)
 
 
 @pytest.mark.parametrize("geom", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
 def test_multi_block_form_near_extended_precision_oracle(geom):
-    # Across blocks BLAS sees a smaller M and may take another kernel than
-    # for the whole product, so y can differ from the one-GEMM form by
-    # rounding; hold it to a long-double oracle instead.
     shape, o, kk, stride, padding = geom
-    assert kernels._block_count(shape, kk, kk, stride, padding) > 1
+    assert 1 < samples_per_block(shape, kk, stride, padding) < shape[0]
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
-    want = one_gemm(x.astype(np.longdouble), k.astype(np.longdouble), stride, padding)
-    y = kernels.im2col(x, kk, kk, stride, padding, k=k)
-    assert np.abs(y - want).max() <= 1e-14 * np.abs(want).max()
-    assert y.tobytes() == kernels.im2col(x, kk, kk, stride, padding, k=k).tobytes()
+    assert_eval_form_near_oracle(x, k, stride, padding)
 
 
 @pytest.mark.parametrize("name", ["deploy-conv", "deploy-stem", "stride-2", "train-eval"])
 def test_eval_conv2d_forward_blocks_only_several_samples(name):
-    # Eval mode is always the block form plus the bias. The batch is cut
-    # into several blocks only when a block holds two samples or more; when
-    # one sample fills a block, the one block is train mode's one GEMM.
+    # Eval mode is always the block form plus the bias, however many samples
+    # a block holds, and it agrees with train mode's one GEMM up to rounding.
     shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_BLOCK}[name]
-    several = kernels._block_count(shape, kk, kk, stride, padding) > 1
-    assert several == (name in MULTI_BLOCK)
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
@@ -232,8 +237,26 @@ def test_eval_conv2d_forward_blocks_only_several_samples(name):
     assert cache is None
     want = kernels.im2col(x, kk, kk, stride, padding, k=k) + b[:, None, None]
     assert y.tobytes() == want.tobytes()
-    if not several:
-        assert y.tobytes() == kernels.conv2d_forward(x, k, b, stride, padding)[0].tobytes()
+    ytrain = kernels.conv2d_forward(x, k, b, stride, padding)[0]
+    assert np.abs(y - ytrain).max() <= 1e-14 * np.abs(ytrain).max()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_eval_form_keeps_samples_apart():
+    # At stride 1 a tap's run reads past each output row into the next row,
+    # sample or stale block; those columns are dropped, so a non-finite
+    # sample leaves every other sample's output as it was, bit for bit.
+    shape, o, kk, stride, padding = MULTI_BLOCK["uneven-blocks"]
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    clean = kernels.im2col(x, kk, kk, stride, padding, k=k)
+    for s, bad in [(0, np.nan), (2, np.inf), (35, -np.inf)]:
+        x_bad = x.copy()
+        x_bad[s] = bad
+        y = kernels.im2col(x_bad, kk, kk, stride, padding, k=k)
+        rest = np.arange(shape[0]) != s
+        assert y[rest].tobytes() == clean[rest].tobytes()
 
 
 @pytest.mark.parametrize("x_shape,k_shape", [((1, 0, 8, 8), (2, 0, 3, 3)),
@@ -266,22 +289,35 @@ def test_eval_conv2d_forward_builds_no_patch_matrix():
 
 
 def test_one_block_eval_forward_holds_one_patch_matrix():
-    # A batch whose samples exceed the block budget is one block: the eval
-    # forward may hold its patch matrix, the output, the GEMM result and one
-    # more output-sized array, and the index, but not the padded batch too.
+    # One sample a block: the eval forward holds the output and one sample's
+    # tap-major block, far below the [N*OH*OW, C*kh*kw] patch matrix.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 16, 32, 32))
     k = rng.standard_normal((16, 16, 3, 3))
-    kernels._patch_index.cache_clear()   # the index is built inside the window
     tracemalloc.start()
     try:
-        y, _ = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)
+        kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     patches = 16 * 32 * 32 * 16 * 9 * 8
-    index = 32 * 32 * 16 * 9 * 8
-    assert peak < patches + 3 * y.nbytes + index
+    assert peak < patches / 4
+
+
+def test_patch_fill_does_not_copy_the_index():
+    # `take` copies a read-only index; the fill hands it the writable base.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((16, 16, 32, 32))
+    cols = kernels.im2col(x, 3, 3, 1, 1)   # builds and caches the index
+    index = kernels._patch_index(16, 34, 34, 3, 3, 1)
+    tracemalloc.start()
+    try:
+        kernels.im2col(x, 3, 3, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = 16 * 16 * 34 * 34 * 8
+    assert peak < padded + cols.nbytes + index.nbytes // 2
 
 
 def test_patch_index_is_cached_and_read_only():
