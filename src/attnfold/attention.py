@@ -320,12 +320,15 @@ def pool_forward_raw(kind: AttentionKind, x: np.ndarray):
     raise InvariantError(f"variant {v!r} has no pooled standard path")
 
 
-def attn_forward_raw(kind: AttentionKind, channels: int, p: dict, x: np.ndarray):
-    """(y, v, cache): x scaled by its per-sample vector v; `attn_backward_raw`
-    reads the cache."""
+def attn_forward_raw(kind: AttentionKind, channels: int, p: dict, x: np.ndarray,
+                     substitute=None, out: np.ndarray | None = None):
+    """(y, v, cache): x scaled by its per-sample vector v, or by
+    `substitute(v)` when given, into `out` when given (which may be x, if no
+    backward pass follows); `attn_backward_raw` reads the cache."""
     u, pool_back = pool_forward_raw(kind, x)
     v, body_back = body_forward_raw(kind, channels, p, u)
-    return kernels.channel_scale(x, v), v, (x, v, body_back, pool_back)
+    w = v if substitute is None else substitute(v)
+    return kernels.channel_scale(x, w, out=out), v, (x, v, body_back, pool_back)
 
 
 def attn_backward_raw(cache: tuple, dy: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -82,6 +82,13 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     place; a bn node passes None, and a returned (scale, shift) maps its
     normalized activation xhat to xhat * scale + shift.
 
+    In eval mode a step may write its output into an input it owns: the
+    value of an earlier node of this forward (never x, the caller's array)
+    that is not named in `keep`, is not the output, and has this node as its
+    last reader. BN, ReLU, `add` and slot and attention scaling do so, with
+    the same bits as into a fresh array; conv, linear and pooling outputs are
+    fresh. Train mode writes no input, since its backward rules hold them.
+
     Each call compiles one step per node (`_compile`) from the graph as it
     stands, so any rewrite is seen. A slot whose psi and body tensors are all
     held in immutable `bytes` (a loaded checkpoint) computes its eval-mode
@@ -104,20 +111,26 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
     unknown = sorted(kept - last_use.keys())
     if unknown:
         raise GraphError(f"keep names unknown node {unknown[0]!r}")
-    release: list[list[str]] = [[] for _ in nodes]
-    for name, pos in last_use.items():
-        if name not in kept:
-            release[pos].append(name)
     train = mode == "train"
     if train and hook is not None:
         raise InvariantError("a forward hook is eval-only; train mode takes none")
+    release: list[list[str]] = [[] for _ in nodes]
+    # Per node, in eval mode, an input it owns (see above): one it releases
+    # that is neither its own unread value nor the caller's x.
+    owned: list[str | None] = [None] * len(nodes)
+    for name, pos in last_use.items():
+        if name not in kept:
+            release[pos].append(name)
+            if not train and name not in (nodes[pos].name, nodes[0].name):
+                owned[pos] = name
     vals = params.values
     values: dict[str, np.ndarray] = {nodes[0].name: xa}
     entries: list[TapeNode] = []
-    for node, step, dead in zip(nodes[1:], steps, release[1:]):
+    for node, step, dead, own in zip(nodes[1:], steps, release[1:], owned[1:]):
         ins = [values[i] for i in node.inputs]
         try:
-            values[node.name], back = step(vals, ins, train, hook)
+            values[node.name], back = step(vals, ins, train, hook,
+                                           None if own is None else values[own])
         except GraphError:
             raise
         except ValueError as exc:
@@ -135,15 +148,16 @@ def forward(graph: ModelGraph, params: ParamSet, x, mode: str = "eval", *,
 
 
 def _compile(graph: ModelGraph, node):
-    """A node's step `step(vals, ins, train, hook) -> (y, back)`: vals are the
-    parameter values by name, ins the input values, and back the backward
-    rule `back(dy) -> (input grads, param grads by name)` in train mode,
-    None in eval mode, where no rule is built."""
+    """A node's step `step(vals, ins, train, hook, spare) -> (y, back)`: vals
+    are the parameter values by name, ins the input values, spare the input
+    array the step may write its output into (eval mode only; else None),
+    and back the backward rule `back(dy) -> (input grads, param grads by
+    name)` in train mode, None in eval mode, where no rule is built."""
     kind, name, a = node.kind, node.name, node.attrs
     if kind == "conv":
         k_name, b_name, stride, padding = f"{name}.k", f"{name}.b", a["stride"], a["padding"]
 
-        def step(vals, ins, train, hook):
+        def step(vals, ins, train, hook, spare):
             k = vals[k_name]
             y, cache = kernels.conv2d_forward(ins[0], k, vals[b_name], stride, padding, train)
             return y, _rule(_conv_back, k, cache, k_name, b_name) if train else None
@@ -152,12 +166,12 @@ def _compile(graph: ModelGraph, node):
         g_name, b_name, rm, rv = (f"{name}.{t}" for t in
                                   ("gamma", "beta", "running_mean", "running_var"))
 
-        def step(vals, ins, train, hook):
+        def step(vals, ins, train, hook, spare):
             x, gamma, beta = ins[0], vals[g_name], vals[b_name]
             if not train:
                 return kernels.batchnorm_eval_forward(
                     x, vals[rm], vals[rv], gamma, beta, BN_EPS,
-                    noise=None if hook is None else hook(node, None)), None
+                    noise=None if hook is None else hook(node, None), out=spare), None
             y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, BN_EPS)
             m = x.size // x.shape[1]
             unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -166,48 +180,46 @@ def _compile(graph: ModelGraph, node):
             return y, _rule(_bn_back, cache, g_name, b_name)
         return step
     if kind == "relu":
-        return lambda vals, ins, train, hook: (
-            kernels.relu(ins[0]), _rule(_relu_back, ins[0]) if train else None)
+        return lambda vals, ins, train, hook, spare: (
+            kernels.relu(ins[0], out=spare), _rule(_relu_back, ins[0]) if train else None)
     if kind == "linear":
         w_name, b_name = f"{name}.w", f"{name}.b"
 
-        def step(vals, ins, train, hook):
+        def step(vals, ins, train, hook, spare):
             x, w = ins[0], vals[w_name]
             return (kernels.linear_forward(x, w, vals[b_name]),
                     _rule(_linear_back, x, w, w_name, b_name) if train else None)
         return step
     if kind == "gap":
         # The rule keeps the shape only, not the activation.
-        return lambda vals, ins, train, hook: (
+        return lambda vals, ins, train, hook, spare: (
             kernels.gap_forward(ins[0]), _rule(_gap_back, ins[0].shape) if train else None)
     if kind == "maxpool2":
-        def step(vals, ins, train, hook):
+        def step(vals, ins, train, hook, spare):
             y, cache = kernels.maxpool2_forward(ins[0])
             return y, _rule(_maxpool2_back, cache) if train else None
         return step
     if kind == "add":
-        return lambda vals, ins, train, hook: (ins[0] + ins[1], _add_back if train else None)
+        return lambda vals, ins, train, hook, spare: (
+            np.add(ins[0], ins[1], out=spare), _add_back if train else None)
     if kind == "asr":
         slot = graph.slots[a["slot"]]
 
-        def step(vals, ins, train, hook):
+        def step(vals, ins, train, hook, spare):
             x = ins[0]
             if train:
                 y, _, cache = attention.asr_apply_raw(slot, vals, x)
                 return y, _rule(_asr_back, slot, cache)
             v = _slot_vector(slot, vals)
-            return kernels.channel_scale(x, v if hook is None else hook(node, v)), None
+            return kernels.channel_scale(x, v if hook is None else hook(node, v), out=spare), None
         return step
     if kind == "attn":
         mod = graph.modules[a["module"]]
 
-        def step(vals, ins, train, hook):
-            x, p = ins[0], mod.gather(vals)
-            y, v, cache = attention.attn_forward_raw(mod.kind, mod.channels, p, x)
-            if hook is not None:
-                w = hook(node, v)
-                if w is not v:
-                    y = kernels.channel_scale(x, w)
+        def step(vals, ins, train, hook, spare):
+            y, _, cache = attention.attn_forward_raw(
+                mod.kind, mod.channels, mod.gather(vals), ins[0],
+                None if hook is None else lambda v: hook(node, v), out=spare)
             return y, _rule(_attn_back, mod, cache) if train else None
         return step
     raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")

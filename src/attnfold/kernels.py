@@ -7,6 +7,8 @@ validation; the public wrappers in `tensor` add the contract checks.
 from __future__ import annotations
 
 import functools
+import mmap
+import threading
 
 import numpy as np
 
@@ -30,8 +32,9 @@ def sigmoid_grad(y: np.ndarray) -> np.ndarray:
     return y * (1.0 - y)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), into `out` when given (which may be x itself)."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -68,6 +71,28 @@ def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.
 # many bytes of tap-major matrix at a time (`im2col`'s `k` form).
 _BLOCK_BYTES = 1 << 20
 
+# Per-thread buffers of the eval form, reused from call to call.
+_workspace = threading.local()
+
+
+def _reused(name: str, size: int) -> np.ndarray:
+    """`size` float64 elements of this thread's buffer `name`, whose contents
+    are whatever the last call on this thread left there.
+
+    Each buffer is one `_BLOCK_BYTES` anonymous mapping of its own, made on
+    first use, not malloc memory: a long-lived buffer inside the malloc heap
+    would keep the heap below it from ever being trimmed, so the process
+    would hold its peak heap instead of just these pages. A request above
+    `_BLOCK_BYTES` gets a fresh array, which is not kept.
+    """
+    if size * 8 > _BLOCK_BYTES:
+        return np.empty(size, dtype=np.float64)
+    buf = getattr(_workspace, name, None)
+    if buf is None:
+        buf = np.frombuffer(mmap.mmap(-1, _BLOCK_BYTES), dtype=np.float64)
+        setattr(_workspace, name, buf)
+    return buf[:size]
+
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
            k: np.ndarray | None = None) -> np.ndarray:
@@ -84,13 +109,17 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     - eval, the `k` form: the batch is cut into as few near-equal blocks of
       whole samples as keep each block's T within `_BLOCK_BYTES`, one sample
       a block when a sample alone exceeds it. Each block is padded into a
-      reused buffer and copied tap-major, by one `np.copyto` from a strided
-      view, into a reused matrix T[(c, i, j), (sample, oh, w')] whose rows
+      buffer and copied tap-major, by one `np.copyto` from a strided view,
+      into a matrix T[(c, i, j), (sample, oh, w')] whose rows
       are runs of the padded input: at stride 1 one contiguous run per tap
       and sample over the full padded width (the buffer ends in kw - 1 zeros
       so the last run stays in bounds), else the OW strided elements of each
       output row. y[block] is the valid columns of `k.reshape(O, -1) @ T`, so
-      the patch matrix is never built;
+      the patch matrix is never built. The padded buffer, T and the product
+      are this thread's workspace (`_reused`): one `_BLOCK_BYTES` buffer each,
+      kept from call to call, or fresh when a block needs more. The padded
+      buffer is zeroed on every call, since it may hold another geometry's
+      block. Only y is fresh;
     - dx: `col2im` with `k`.
 
     Bit rules: train y and dk keep every patch value, GEMM operand and
@@ -130,10 +159,11 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     blocks = max(1, -(-n // fit))
     m = -(-n // blocks)
     size = c * hp * wp
-    flat = np.zeros(m * size + kw - 1, dtype=np.float64)   # the border stays zero
+    flat = _reused("flat", m * size + kw - 1)
+    flat.fill(0.0)   # the border stays zero from block to block
     xp = flat[:m * size].reshape(m, c, hp, wp)
-    taps = np.empty(rows * m * oh * wr, dtype=np.float64)
-    prod = np.empty(o * m * oh * wr, dtype=np.float64)
+    taps = _reused("taps", rows * m * oh * wr)
+    prod = _reused("prod", o * m * oh * wr)
     k2 = k.reshape(o, rows)
     y = np.empty((n, o, oh, ow), dtype=np.float64)
     runs = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
@@ -281,12 +311,18 @@ def batchnorm_train_backward(dy: np.ndarray, cache: dict
 
 def batchnorm_eval_forward(x: np.ndarray, mean: np.ndarray, var: np.ndarray,
                            gamma: np.ndarray, beta: np.ndarray, eps: float,
-                           noise: tuple[float, float] | None = None) -> np.ndarray:
-    y = x - _bn_expand(mean, x.ndim)
+                           noise: tuple[float, float] | None = None,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """((x - mean) / sqrt(var + eps) [* na + nb]) * gamma + beta per channel,
+    with the running statistics; `noise` is (na, nb). Every step writes into
+    one array, `out` when given (which may be x itself), else a fresh one;
+    either way the bits are the same."""
+    y = np.subtract(x, _bn_expand(mean, x.ndim), out=out)
     y /= _bn_expand(np.sqrt(var + eps), x.ndim)
     if noise is not None:
         na, nb = noise
-        y = y * na + nb
+        y *= na
+        y += nb
     y *= _bn_expand(gamma, x.ndim)
     y += _bn_expand(beta, x.ndim)
     return y
@@ -393,11 +429,13 @@ def circular_conv1d_backward(dz: np.ndarray, u: np.ndarray, w: np.ndarray
     return du, dw
 
 
-def channel_scale(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scale axis 1 by v; v is [C] (shared) or [N,C] (per sample)."""
+def channel_scale(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Scale axis 1 by v; v is [C] (shared) or [N,C] (per sample). Into
+    `out` when given (which may be x itself)."""
     if x.ndim == 2:
-        return x * (v if v.ndim == 2 else v[None, :])
-    return x * (v[:, :, None, None] if v.ndim == 2 else v[None, :, None, None])
+        return np.multiply(x, v if v.ndim == 2 else v[None, :], out=out)
+    return np.multiply(x, v[:, :, None, None] if v.ndim == 2 else v[None, :, None, None],
+                       out=out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ cross-entropy against the scalar formula."""
 
 import copy
 import gc
+import importlib
 import tracemalloc
 import weakref
 
@@ -11,6 +12,7 @@ import pytest
 
 import attnfold.attention as attention_mod
 import attnfold.autodiff as autodiff_mod
+import attnfold.kernels as kernels_mod
 import attnfold.tensor as tensor_mod
 from attnfold import (AttachSpec, AttentionKind, GraphError, InvariantError,
                       LayerNode, MatrixOperator, ModelGraph, StateError, backward,
@@ -267,6 +269,28 @@ class TestHook:
             assert tape.values["s0"].tobytes() == clean.values["s0"].tobytes()
         assert not np.array_equal(tape.values[name], clean.values[name])
 
+    def test_substituting_hook_scales_each_attn_node_once(self, monkeypatch):
+        # Fails at the parent, which scaled by v and then again by w.
+        g, params = deploy_resnet("standard")
+        x = np.random.default_rng(21).standard_normal((3, 3, 16, 16))
+        calls = []
+        original = kernels_mod.channel_scale
+
+        def spy(x, v, out=None):
+            calls.append(v)
+            return original(x, v, out=out)
+        monkeypatch.setattr(kernels_mod, "channel_scale", spy)
+        applied = []
+
+        def half(node, m):
+            if node.kind != "attn":
+                return m
+            applied.append(m * 0.5)
+            return applied[-1]
+        forward(g, params, x, hook=half)
+        assert len(applied) == 4 and len(calls) == 4
+        assert all(v is w for v, w in zip(calls, applied))
+
     def test_recorder_stores_the_applied_vectors(self):
         g, params, x = attention_graph()
         vectors = {}
@@ -277,6 +301,128 @@ class TestHook:
         assert tape.values["m0"].tobytes() == \
             channel_scale(tape.values["s0"], vectors["m0"]).tobytes()
         assert logits.data.tobytes() == forward(g, params, x)[0].data.tobytes()
+
+
+def logged_forward(log, keep_all):
+    """`forward` that puts each call's logits bytes in `log`; with
+    `keep_all` it keeps every node, which turns every in-place write off."""
+    def run(graph, params, x, mode="eval", *, keep=(), hook=None):
+        if keep_all:
+            keep = [n.name for n in graph.nodes]
+        logits, tape = forward(graph, params, x, mode, keep=keep, hook=hook)
+        log.append(logits.data.tobytes())
+        return logits, tape
+    return run
+
+
+def deploy_resnet(mode="asr", seed=6):
+    """The benchmark's deploy model shape: 2 blocks, width 16, two SE slots
+    (or modules) per block, with trained-looking BN statistics."""
+    spec = AttachSpec(kind=AttentionKind("se", reduction=4), mode=mode, delta=2)
+    g = build_toy_resnet(2, 16, 10, spec, image_size=16)
+    params = init_params(g, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, arr in params.values.items():
+        if name.endswith((".running_var", ".gamma")):
+            params.values[name] = rng.uniform(0.5, 1.5, arr.shape)
+        elif name.endswith((".running_mean", ".beta")):
+            params.values[name] = rng.normal(0.0, 0.2, arr.shape)
+    return g, params
+
+
+class TestInPlaceEval:
+    """Eval steps write into inputs they own and nowhere else."""
+
+    @pytest.mark.parametrize("kind,attrs", [("relu", {}), ("bn", {"channels": 3})])
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_caller_input_is_never_written(self, kind, attrs, writeable):
+        # Passes at the parent, which writes no input in place.
+        g = tiny_graph([LayerNode("first", kind, ["input"], attrs),
+                        LayerNode("second", kind, ["first"], attrs)],
+                       input_shape=(3, 4, 4), classes=3)
+        params = init_params(g, seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 3, 4, 4))
+        x.flags.writeable = writeable
+        before = x.tobytes()
+        logits, _ = forward(g, params, x)
+        assert x.tobytes() == before
+        assert not np.shares_memory(logits.data, x)
+
+    def test_steps_write_into_the_inputs_they_own(self, monkeypatch):
+        # Fails at the parent: no kernel is given an `out`.
+        g, params = deploy_resnet()
+        outs = []
+        for name in ("batchnorm_eval_forward", "relu", "channel_scale"):
+            original = getattr(kernels_mod, name)
+
+            def spy(x, *args, _original=original, **kwargs):
+                outs.append((kwargs.get("out") is x, x.shape))
+                return _original(x, *args, **kwargs)
+            monkeypatch.setattr(kernels_mod, name, spy)
+        x = np.random.default_rng(1).standard_normal((4, 3, 16, 16))
+        forward(g, params, x)
+        # Every BN, graph ReLU and slot scaling writes into its input; the SE
+        # body's hidden ReLU ([1, 4]) takes a fresh array.
+        maps = [owned for owned, shape in outs if len(shape) == 4]
+        assert len(maps) == 5 + 5 + 4 and all(maps)
+        assert not any(owned for owned, shape in outs if len(shape) == 2)
+
+    @pytest.mark.parametrize("mode", ["asr", "standard"])
+    def test_logits_and_kept_values_equal_keeping_every_node(self, mode):
+        # Passes at the parent. The stem's ReLU feeds block0's conv1 and its
+        # skip `add`; conv1 is not its last reader, so only the add may write
+        # into it, and a clobbered skip input would show in the logits.
+        g, params = deploy_resnet(mode)
+        x = np.random.default_rng(2).standard_normal((8, 3, 16, 16))
+        _, every = forward(g, params, x, keep=[n.name for n in g.nodes])
+        assert g.node("block0.add").inputs[0] == "stem.relu"
+        logits, _ = forward(g, params, x)
+        assert logits.data.tobytes() == every.values[g.output_name].tobytes()
+        attention = next(n.name for n in g.nodes if n.kind in ("asr", "attn"))
+        keep = ["stem.relu", "block0.bn1", attention, "block1.relu1"]
+        _, tape = forward(g, params, x, keep=keep)
+        for name in keep:
+            assert tape.values[name].tobytes() == every.values[name].tobytes(), name
+
+    def test_add_reading_one_owned_input_twice(self):
+        # Passes at the parent. The add owns its one input, read twice.
+        nodes = [LayerNode("r", "relu", ["input"]),
+                 LayerNode("twice", "add", ["r", "r"]),
+                 LayerNode("head", "linear", ["twice"], {"in_dim": 4, "out_dim": 4})]
+        g = tiny_graph(nodes)
+        params = init_params(g, seed=0)
+        params.values["head.w"] = np.eye(4)
+        params.values["head.b"] = np.zeros(4)
+        x = np.random.default_rng(3).standard_normal((3, 4))
+        logits, _ = forward(g, params, x)
+        np.testing.assert_array_equal(logits.data, 2 * np.maximum(x, 0.0))
+
+    def test_noise_csv_and_stripes_equal_keeping_every_node(self, tmp_path, monkeypatch):
+        # Passes at the parent. The noise attack's hooked BN steps and the
+        # stripe pass's kept slots run once in place and once with nothing
+        # written in place; every forward's logits and both outputs agree.
+        from attnfold import cli
+        train_mod = importlib.import_module("attnfold.train")   # not the function
+        g, params = deploy_resnet()
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, g, params)
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text("[data]\nkind = synthetic\nclasses = 10\nsamples = 0\n"
+                       "image_size = 16\nseed = 3\neval_samples = 24\n")
+        probes = np.random.default_rng(5).standard_normal((3, 3, 16, 16))
+        outputs = []
+        for keep_all in (False, True):
+            log = []
+            monkeypatch.setattr(train_mod, "forward", logged_forward(log, keep_all))
+            root = tmp_path / f"keep_all_{keep_all}"
+            assert cli.main(["--out-root", str(root), "noise", str(ckpt), "--config",
+                             str(cfg), "--spec", "random:0.3,0.3", "--repeats", "2"]) == 0
+            csv = next(root.glob("*/noise_attack.csv")).read_bytes()
+            stripes = train_mod.record_stripes(g, params, probes, 1)
+            outputs.append((log, csv, [(r.module, r.probe, r.vector.tobytes(),
+                                        r.post_mean.tobytes()) for r in stripes]))
+        assert len(outputs[0][0]) == 3 and len(outputs[0][2]) == 4 * 3
+        assert outputs[0] == outputs[1]
 
 
 class TestBackwardBasics:

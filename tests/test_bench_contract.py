@@ -1,12 +1,13 @@
 """The names the benchmark binds to: every traced layer in
-`perfbench/layers.py` is a callable of its attnfold module, and a train step
-and a perturb sweep make the traced calls the train and perturb workloads
-expect. The benchmark files are read, not changed."""
+`perfbench/layers.py` is a callable of its attnfold module, and a train step,
+a perturb sweep and a deploy eval forward make the traced calls the
+workloads expect. The benchmark files are read, not changed."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import attnfold.attention as attention_mod
@@ -70,3 +71,27 @@ def test_perturb_sweep_calls_one_norm_per_block_of_each_trace(tmp_path):
     assert rc == 0
     assert {name: tracer.calls(name) for name in tracer.targets} == {
         "analysis.perturb_trace": 4, "tensor.spectral_norm": 12, "autodiff.forward": 4}
+
+
+@pytest.mark.parametrize("mode", ["asr", "standard"])
+def test_deploy_eval_forward_kernel_counts(mode):
+    # One eval forward of the deploy workload's model shape, traced through
+    # the module attributes the benchmark wraps: every in-place BN, ReLU and
+    # scaling step still calls its kernel there. 5 convs and BNs, 5 graph
+    # ReLUs plus one in each of the 4 SE bodies, 4 slot or module scalings.
+    from attnfold import AttachSpec, AttentionKind, build_toy_resnet, forward, init_params
+    spec = AttachSpec(kind=AttentionKind("se", reduction=4), mode=mode, delta=2)
+    graph = build_toy_resnet(2, 16, 10, spec, image_size=16)
+    params = init_params(graph, seed=0)
+    x = np.random.default_rng(0).standard_normal((4, 3, 16, 16))
+    tracer = perfbench_module("tracer").Tracer(
+        ["kernels.batchnorm_eval_forward", "kernels.relu", "kernels.channel_scale",
+         "kernels.conv2d_forward", "kernels.im2col"])
+    tracer.install()
+    try:
+        forward(graph, params, x, mode="eval")
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.calls(name) for name in tracer.targets} == {
+        "kernels.batchnorm_eval_forward": 5, "kernels.relu": 9,
+        "kernels.channel_scale": 4, "kernels.conv2d_forward": 5, "kernels.im2col": 5}

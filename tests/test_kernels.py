@@ -1,7 +1,10 @@
 """Conv and eval-BN kernels against loop and formula oracles: exact values,
-adjointness, fresh output, the cached patch index, the eval tap-major form."""
+adjointness, fresh output, the cached patch index, the eval tap-major form
+and its per-thread workspace, and the `out=` forms of the elementwise kernels."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -198,14 +201,14 @@ MULTI_BLOCK = {
     "o3": ((8, 16, 12, 12), 3, 5, 1, 1),
 }
 # One sample's tap-major matrix fills the block budget: one sample a block.
-ONE_BLOCK = {
+ONE_SAMPLE_BLOCK = {
     "train-eval": ((16, 16, 32, 32), 16, 3, 1, 1),     # 1.3 MB a sample
     "o3-one-sample": ((8, 16, 16, 16), 3, 5, 1, 1),   # 0.8 MB: two samples would not fit
 }
 
 
-@pytest.mark.parametrize("geom", ONE_BLOCK.values(), ids=ONE_BLOCK.keys())
-def test_one_block_form_equals_one_gemm(geom):
+@pytest.mark.parametrize("geom", ONE_SAMPLE_BLOCK.values(), ids=ONE_SAMPLE_BLOCK.keys())
+def test_one_sample_block_form_near_extended_precision_oracle(geom):
     shape, o, kk, stride, padding = geom
     assert samples_per_block(shape, kk, stride, padding) == 1
     rng = np.random.default_rng(o)
@@ -228,7 +231,7 @@ def test_multi_block_form_near_extended_precision_oracle(geom):
 def test_eval_conv2d_forward_blocks_only_several_samples(name):
     # Eval mode is always the block form plus the bias, however many samples
     # a block holds, and it agrees with train mode's one GEMM up to rounding.
-    shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_BLOCK}[name]
+    shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_SAMPLE_BLOCK}[name]
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
@@ -288,7 +291,7 @@ def test_eval_conv2d_forward_builds_no_patch_matrix():
     assert peak < 64 * 16 * 16 * 16 * 9 * 8
 
 
-def test_one_block_eval_forward_holds_one_patch_matrix():
+def test_one_sample_block_eval_forward_holds_far_less_than_patch_matrix():
     # One sample a block: the eval forward holds the output and one sample's
     # tap-major block, far below the [N*OH*OW, C*kh*kw] patch matrix.
     rng = np.random.default_rng(0)
@@ -302,6 +305,100 @@ def test_one_block_eval_forward_holds_one_patch_matrix():
         tracemalloc.stop()
     patches = 16 * 32 * 32 * 16 * 9 * 8
     assert peak < patches / 4
+
+
+def in_new_thread(fn):
+    """fn() run on a new thread, whose eval-conv workspace starts empty."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()))
+    worker.start()
+    worker.join()
+    return result[0]
+
+
+def eval_conv(x, k, stride, padding):
+    return kernels.im2col(x, k.shape[2], k.shape[3], stride, padding, k=k)
+
+
+def test_workspace_border_is_zero_for_each_geometry():
+    # Passes at the parent, whose buffers were fresh. Both geometries pad to
+    # the same [N, 4, 10, 10] buffer, so they reuse one; the unpadded one
+    # fills the other's border, which must read zero again.
+    rng = np.random.default_rng(0)
+    cases = [(rng.standard_normal((5, 4, 8, 8)), rng.standard_normal((3, 4, 3, 3)), 1),
+             (rng.standard_normal((5, 4, 10, 10)), rng.standard_normal((3, 4, 3, 3)), 0)]
+    want = [in_new_thread(lambda c=c: eval_conv(c[0], c[1], 1, c[2]).tobytes())
+            for c in cases]
+
+    def interleaved():
+        return [eval_conv(x, k, 1, p).tobytes() for _ in range(3) for x, k, p in cases]
+    assert in_new_thread(interleaved) == want * 3
+
+
+def test_workspace_is_per_thread():
+    # Passes at the parent, whose buffers were fresh: four threads (two per
+    # conv, more than the cores) run two different eval convs at once, with
+    # a short switch interval, and each keeps the sequential bytes.
+    rng = np.random.default_rng(1)
+    cases = [(rng.standard_normal((12, 16, 16, 16)), rng.standard_normal((16, 16, 3, 3)), 1),
+             (rng.standard_normal((9, 8, 12, 12)), rng.standard_normal((4, 8, 5, 5)), 2)]
+    want = [eval_conv(x, k, 1, p).tobytes() for x, k, p in cases]
+    got = [[] for _ in range(4)]
+
+    def repeat(i):
+        x, k, p = cases[i % 2]
+        got[i].extend(eval_conv(x, k, 1, p).tobytes() for _ in range(50))
+    workers = [threading.Thread(target=repeat, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[want[i % 2]] * 50 for i in range(4)]
+
+
+def workspace_bytes():
+    return sum(buf.nbytes for buf in vars(kernels._workspace).values())
+
+
+def test_over_budget_sample_leaves_the_workspace_within_budget():
+    # Fails at the parent, which has no workspace. One sample's tap-major
+    # matrix (1.3 MB) exceeds the block budget, so it is fresh and not kept;
+    # the padded block and the product are kept, one budget each.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((2, 16, 32, 32))
+    k = rng.standard_normal((16, 16, 3, 3))
+
+    def held():
+        y = eval_conv(x, k, 1, 1)
+        return {n: b.nbytes for n, b in vars(kernels._workspace).items()}, y
+    sizes, y = in_new_thread(held)
+    assert samples_per_block(x.shape, 3, 1, 1) == 1
+    assert sizes == {"flat": kernels._BLOCK_BYTES, "prod": kernels._BLOCK_BYTES}
+    assert y.tobytes() == eval_conv(x, k, 1, 1).tobytes()
+
+
+def test_warm_eval_conv_allocates_only_its_output():
+    # Fails at the parent, which allocated its padded block, tap-major
+    # matrix and product (1.2 MB at this shape) beside y on every call. What
+    # is left beside y is numpy's own copy buffers (66 KB here).
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((64, 16, 16, 16))
+    k = rng.standard_normal((16, 16, 3, 3))
+    y = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)[0]
+    tracemalloc.start()
+    try:
+        kernels.conv2d_forward(x, k, np.zeros(16), 1, 1, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + 256 * 1024
+    assert workspace_bytes() <= 3 * kernels._BLOCK_BYTES
 
 
 def test_patch_fill_does_not_copy_the_index():
@@ -346,6 +443,31 @@ def test_batchnorm_eval_matches_formula(shape, noise):
     want = xhat * gamma[ex] + beta[ex]
     got = kernels.batchnorm_eval_forward(x, mean, var, gamma, beta, 1e-5, noise=noise)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("noise", [None, (1.3, -0.2)])
+def test_batchnorm_eval_into_its_input_keeps_the_bits(noise):
+    # Fails at the parent, which had no `out`.
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 4, 6, 5))
+    mean, gamma, beta = rng.standard_normal((3, 4))
+    var = rng.random(4) + 0.1
+    want = kernels.batchnorm_eval_forward(x, mean, var, gamma, beta, 1e-5, noise=noise)
+    y = kernels.batchnorm_eval_forward(x, mean, var, gamma, beta, 1e-5, noise=noise, out=x)
+    assert y is x and x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v_shape", [(4,), (3, 4)], ids=["shared", "per-sample"])
+@pytest.mark.parametrize("x_shape", [(3, 4), (3, 4, 6, 5)], ids=["2d", "4d"])
+def test_relu_and_channel_scale_into_their_input_keep_the_bits(x_shape, v_shape):
+    # Fails at the parent, which had no `out`.
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(x_shape)
+    v = rng.random(v_shape)
+    want = kernels.relu(kernels.channel_scale(x, v))
+    assert kernels.channel_scale(x, v, out=x) is x
+    assert kernels.relu(x, out=x) is x
+    assert x.tobytes() == want.tobytes()
 
 
 def masked_sigmoid(x):
