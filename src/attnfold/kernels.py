@@ -6,7 +6,6 @@ validation; the public wrappers in `tensor` add the contract checks.
 
 from __future__ import annotations
 
-import functools
 import mmap
 import threading
 
@@ -48,30 +47,11 @@ def conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int) 
     return oh, ow
 
 
-@functools.lru_cache(maxsize=64)
-def _patch_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Flat offsets of every patch element in one padded [C,Hp,Wp] sample.
-
-    Ordered (oh, ow, c, i, j), i.e. the patch matrix's rows then columns.
-    Cached per geometry and returned as a read-only view, since every caller
-    shares it; its `base` is the writable index `take` needs.
-    """
-    oh, ow = conv_output_hw(hp, wp, kh, kw, stride, 0)
-    tap = (np.arange(c)[:, None, None] * (hp * wp)
-           + np.arange(kh)[None, :, None] * wp + np.arange(kw)[None, None, :])
-    corner = np.arange(oh)[:, None] * (stride * wp) + np.arange(ow)[None, :] * stride
-    idx = np.empty(oh * ow * tap.size, dtype=np.intp)
-    np.add(corner.reshape(-1, 1), tap.reshape(1, -1), out=idx.reshape(oh * ow, -1))
-    view = idx.view()
-    view.flags.writeable = False
-    return view
-
-
-# Eval-mode convolution copies and multiplies whole samples, at most this
-# many bytes of tap-major matrix at a time (`im2col`'s `k` form).
+# Convolution copies and multiplies whole samples, at most this many bytes of
+# tap-major matrix at a time (see `im2col`).
 _BLOCK_BYTES = 1 << 20
 
-# Per-thread buffers of the eval form, reused from call to call.
+# Per-thread buffers of the conv blocks, reused from call to call.
 _workspace = threading.local()
 
 
@@ -94,171 +74,172 @@ def _reused(name: str, size: int) -> np.ndarray:
     return buf[:size]
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-           k: np.ndarray | None = None) -> np.ndarray:
-    """[N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, row-major; with
-    kernels `k` [O,C,kh,kw], the bias-free conv output [N,O,OH,OW] instead.
+def _tap_blocks(shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
+                x: np.ndarray | None = None):
+    """The tap-major layout of a conv input of `shape` [N,C,H,W], one block
+    of whole samples at a time (see `im2col`).
 
-    Row (n, oh, ow) holds the window under output pixel (oh, ow) of sample n,
-    ordered (c, i, j) like `k.reshape(O, -1)`. The conv contract has one form
-    per direction:
-    - train: the batch is padded into one zero-bordered buffer and `take`n
-      through `_patch_index` into the matrix, a fresh, writable array; y is
-      one GEMM over it, `cols @ k.reshape(O, -1).T`, and `conv2d_forward`
-      caches it for dk = `dy.T @ cols`;
-    - eval, the `k` form: the batch is cut into as few near-equal blocks of
-      whole samples as keep each block's T within `_BLOCK_BYTES`, one sample
-      a block when a sample alone exceeds it. Each block is padded into a
-      buffer and copied tap-major, by one `np.copyto` from a strided view,
-      into a matrix T[(c, i, j), (sample, oh, w')] whose rows
-      are runs of the padded input: at stride 1 one contiguous run per tap
-      and sample over the full padded width (the buffer ends in kw - 1 zeros
-      so the last run stays in bounds), else the OW strided elements of each
-      output row. y[block] is the valid columns of `k.reshape(O, -1) @ T`, so
-      the patch matrix is never built. The padded buffer, T and the product
-      are this thread's workspace (`_reused`): one `_BLOCK_BYTES` buffer each,
-      kept from call to call, or fresh when a block needs more. The padded
-      buffer is zeroed on every call, since it may hold another geometry's
-      block. Only y is fresh;
-    - dx: `col2im` with `k`.
-
-    Bit rules: train y and dk keep every patch value, GEMM operand and
-    addition order, so they are bit-identical from run to run and to the
-    one-GEMM form (the finite-difference gradient check is sensitive to one
-    ulp of the loss). The eval form runs other GEMMs, with the operands
-    swapped and over blocks of the batch, so BLAS may take other kernels:
-    its y equals the train y up to rounding (within 1e-14 of max |y| against
-    a long-double oracle) and repeats its own bytes exactly. Which cases are
-    bit-equal to the train y depends on the BLAS build and the CPU.
+    Yields (s, e, t, strides) for each block [s, e): t is T
+    [C, kh, kw, e - s, OH, wr] in this thread's workspace, and `strides` the
+    byte strides that view a padded [.., C, Hp, Wp] buffer, from the block's
+    first sample on, in T's shape. With `x`, T holds the runs of x[s:e];
+    without, its contents are undefined.
     """
-    n, c, h, w = x.shape
+    n, c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    if k is None:
-        # Padded batch before index: a geometry too large for memory fails in
-        # numpy's allocation, not as an overflow in the index.
-        xp = np.zeros((n, c, hp, wp), dtype=np.float64)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
-        # `take` copies a read-only index on every call, so it reads the
-        # cached index's writable base. The index is in range by construction;
-        # "clip" spares `take` the copy through a temporary it makes for
-        # `out=` under "raise".
-        idx = _patch_index(c, hp, wp, kh, kw, stride).base
-        cols = np.empty((n, idx.size), dtype=np.float64)
-        xp.reshape(n, -1).take(idx, axis=1, out=cols, mode="clip")
-        return cols.reshape(n * oh * ow, c * kh * kw)
-    o = k.shape[0]
     rows = c * kh * kw
-    if rows == 0:   # every product is an empty sum
-        return np.zeros((n, o, oh, ow), dtype=np.float64)
-    # Stride 1 multiplies the full padded width and drops the last kw - 1
-    # columns of each row, which read on into the next row, sample or stale
-    # block; larger strides read only the OW valid ones.
+    if rows == 0:   # no patch rows, no blocks
+        return
+    # Stride 1 copies runs over the full padded width, whose last kw - 1
+    # columns read on into the next row, sample or stale block; larger
+    # strides read only the OW valid ones.
     wr = wp if stride == 1 else ow
     fit = max(1, _BLOCK_BYTES // (rows * oh * wr * 8))
     blocks = max(1, -(-n // fit))
     m = -(-n // blocks)
     size = c * hp * wp
-    flat = _reused("flat", m * size + kw - 1)
-    flat.fill(0.0)   # the border stays zero from block to block
-    xp = flat[:m * size].reshape(m, c, hp, wp)
+    strides = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
+    if x is not None:
+        flat = _reused("flat", m * size + kw - 1)
+        flat.fill(0.0)   # the border stays zero from block to block
+        xp = flat[:m * size].reshape(m, c, hp, wp)
     taps = _reused("taps", rows * m * oh * wr)
-    prod = _reused("prod", o * m * oh * wr)
-    k2 = k.reshape(o, rows)
-    y = np.empty((n, o, oh, ow), dtype=np.float64)
-    runs = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
     for b in range(blocks):
         s, e = n * b // blocks, n * (b + 1) // blocks
-        xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
         t = taps[:rows * (e - s) * oh * wr].reshape(c, kh, kw, e - s, oh, wr)
-        np.copyto(t, np.ndarray(t.shape, buffer=flat, strides=runs))   # bounds-checked view
-        p = prod[:o * (e - s) * oh * wr].reshape(o, -1)
-        np.matmul(k2, t.reshape(rows, -1), out=p)
-        y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
+        if x is not None:
+            xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+            np.copyto(t, np.ndarray(t.shape, buffer=flat, strides=strides))   # bounds-checked view
+        yield s, e, t, strides
+
+
+def im2col(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
+           train: bool = False) -> np.ndarray:
+    """The bias-free conv output [N,O,OH,OW] of x [N,C,H,W] and kernels k
+    [O,C,kh,kw], from a tap-major layout that never builds the
+    [N*OH*OW, C*kh*kw] patch matrix.
+
+    The layout, shared by every conv direction: the batch is cut into as few
+    near-equal blocks of whole samples as keep each block's T within
+    `_BLOCK_BYTES`, one sample a block when a sample alone exceeds it. Each
+    block is padded into a buffer and copied tap-major, by one `np.copyto`
+    from a strided view, into a matrix T[(c, i, j), (sample, oh, w')] whose
+    rows are runs of the padded input: at stride 1 one contiguous run per tap
+    and sample over the full padded width (the buffer ends in kw - 1 zeros so
+    the last run stays in bounds), else the OW strided elements of each
+    output row. The padded buffer, T and the block's GEMM operand or product
+    are this thread's workspace (`_reused`): one `_BLOCK_BYTES` buffer each,
+    kept from call to call, or fresh when a block needs more. The padded
+    buffer is zeroed on every call, since it may hold another geometry's
+    block. Only y is fresh. Per block, y is:
+    - eval: the valid columns of `k.reshape(O, -1) @ T`;
+    - train: `rows @ k.reshape(O, -1).T`, where `rows` are the block's patch
+      rows, T's valid columns copied out transposed;
+    and `col2im` takes dk and dx from the same blocks.
+
+    Bit rules. Every form repeats its own bytes exactly. The train y of a
+    batch that fits in one block is bit-equal to the one-GEMM form
+    `patches @ k.reshape(O, -1).T` (the finite-difference gradient check is
+    sensitive to one ulp of the loss). Otherwise y, and dk and dx, run other
+    GEMMs, with the operands swapped or over blocks of the batch, so BLAS may
+    take other kernels: they equal the one-GEMM forms up to rounding (within
+    1e-14 of max |.| against a long-double oracle). Which cases are bit-equal
+    depends on the BLAS build and the CPU.
+    """
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    rows = c * kh * kw
+    if rows == 0:   # every product is an empty sum
+        return np.zeros((n, o, oh, ow), dtype=np.float64)
+    k2 = k.reshape(o, rows)
+    y = np.empty((n, o, oh, ow), dtype=np.float64)
+    for s, e, t, _ in _tap_blocks(x.shape, kh, kw, stride, padding, x):
+        if train:
+            p = _reused("prod", (e - s) * oh * ow * rows).reshape(e - s, oh, ow, c, kh, kw)
+            np.copyto(p, t[..., :ow].transpose(3, 4, 5, 0, 1, 2))
+            yb = p.reshape(-1, rows) @ k2.T
+            y[s:e] = yb.reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
+        else:
+            wr = t.shape[-1]
+            p = _reused("prod", o * (e - s) * oh * wr).reshape(o, -1)
+            np.matmul(k2, t.reshape(rows, -1), out=p)
+            y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
     return y
 
 
-def col2im(dy_rows: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
-           stride: int, padding: int) -> np.ndarray:
-    """dL/dx [N,C,H,W] from the dL/dy rows [N*OH*OW, O] and kernels k
-    [O,C,kh,kw]: the adjoint of `im2col`, the backward half of the conv
-    contract.
+def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
+           padding: int, x: np.ndarray | None = None
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(dL/dx [N,C,H,W], dL/dk [O,C,kh,kw]) of a conv with kernels k, given
+    dL/dy [N,O,OH,OW]: the backward half of `im2col`, over its blocks. dk
+    needs the input x; without it, dk is None.
 
-    Each sample's patch gradients are formed by one GEMM written straight
-    into a reused tap-major buffer, `k.reshape(O, -1).T @ rows.T`, so the
-    patch-sized product `dy_rows @ k.reshape(O, -1)` is never built. The
-    taps are then added in (i, j) order, so every pixel sums its
-    contributions in the same order as a tap-by-tap scatter over the batch.
-    The taps equal the product's entries up to rounding only: the GEMM runs
-    with its operands swapped, so BLAS may pick another kernel for the same
-    O-term dot products (dx stays within a few ulps of max |dx|). With the
-    identity kernel `np.eye(C*kh*kw).reshape(-1, C, kh, kw)` the rows are
-    patches and the result is their exact tap-order scatter.
+    Per block, dY is dL/dy laid out like T's columns, zero in the kw - 1
+    spill columns of each row. Then dkᵀ += T @ dYᵀ, with T rebuilt from x,
+    and G = `k.reshape(O, -1).T @ dY` is written over T. G's taps are added,
+    in (i, j) order, into a padded dx through the same strided view that
+    the copy into T reads: the exact adjoint of the copy, where the spill
+    columns add zeros. So every pixel sums its contributions in the order
+    of a tap-by-tap scatter over the batch. With the identity kernel
+    `np.eye(C*kh*kw).reshape(-1, C, kh, kw)`, G is dY's patch gradients and
+    dx is their exact tap-order scatter. See `im2col` for the bit rules.
     """
     n, c, h, w = x_shape
     o, _, kh, kw = k.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    rows = dy_rows.reshape(n, oh * ow, o)
-    k2t = k.reshape(o, -1).T
-    taps = np.empty((c, kh, kw, oh, ow), dtype=np.float64)
-    tap_rows = taps.reshape(c * kh * kw, oh * ow)
-    img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-    for s in range(n):
-        np.matmul(k2t, rows[s].T, out=tap_rows)
+    rows = c * kh * kw
+    # The padded dx, and past its end the last sample's kw - 1 spill slots.
+    img = np.zeros(n * c * hp * wp + kw - 1, dtype=np.float64)
+    dkt = None if x is None else np.zeros((rows, o), dtype=np.float64)
+    k2t = k.reshape(o, rows).T
+    for s, e, t, strides in _tap_blocks(x_shape, kh, kw, stride, padding, x):
+        wr = t.shape[-1]
+        d = _reused("prod", o * (e - s) * oh * wr).reshape(o, e - s, oh, wr)
+        d[..., ow:] = 0.0
+        d[..., :ow] = dy[s:e].transpose(1, 0, 2, 3)
+        d2, t2 = d.reshape(o, -1), t.reshape(rows, -1)
+        if dkt is not None:
+            dkt += t2 @ d2.T
+        np.matmul(k2t, d2, out=t2)
+        acc = np.ndarray(t.shape, buffer=img, offset=s * strides[3], strides=strides)
         for i in range(kh):
-            i_max = i + stride * oh
             for j in range(kw):
-                j_max = j + stride * ow
-                img[s, :, i:i_max:stride, j:j_max:stride] += taps[:, i, j]
+                acc[:, i, j] += t[:, i, j]
+    dx = img[:n * c * hp * wp].reshape(n, c, hp, wp)
     if padding > 0:
-        img = img[:, :, padding:padding + h, padding:padding + w]
-    return img
-
-
-def _output_rows(y: np.ndarray) -> np.ndarray:
-    """[N,O,OH,OW] -> [N*OH*OW, O], rows in patch-matrix order."""
-    return y.transpose(0, 2, 3, 1).reshape(-1, y.shape[1])
+        dx = dx[:, :, padding:padding + h, padding:padding + w]
+    return dx, None if dkt is None else dkt.T.reshape(k.shape)
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
                    padding: int, train: bool = True) -> tuple[np.ndarray, dict | None]:
     """y [N,O,OH,OW] of kernels k [O,C,kh,kw] plus bias b [O], and the cache
-    for `conv2d_backward`.
-
-    In train mode y is one GEMM over the whole patch matrix, which the cache
-    keeps for dk. In eval mode (`train=False`) no backward pass follows, the
-    cache is None and y is `im2col`'s tap-major `k` form plus the bias, equal
-    to the train y up to rounding; see `im2col` for the contract and its bit
-    rules.
+    for `conv2d_backward`: x itself, not a copy, in train mode, and None in
+    eval mode (`train=False`), where no backward pass follows. y is
+    `im2col`'s form for the mode plus the bias; see `im2col` for the layout
+    and its bit rules.
     """
-    o, _, kh, kw = k.shape
-    if not train:
-        y = im2col(x, kh, kw, stride, padding, k=k)
-        y += b[:, None, None]
-        return y, None
-    n, _, h, w = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    cols = im2col(x, kh, kw, stride, padding)
-    y = cols @ k.reshape(o, -1).T
-    y += b
-    y = y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
-    cache = {"cols": cols, "x_shape": x.shape, "k_shape": k.shape,
-             "stride": stride, "padding": padding}
-    return np.ascontiguousarray(y), cache
+    y = im2col(x, k, stride, padding, train)
+    y += b[:, None, None]
+    return y, {"x": x, "stride": stride, "padding": padding} if train else None
 
 
 def conv2d_backward_input(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
                           stride: int, padding: int) -> np.ndarray:
     """dL/dx of a conv with kernels k [O,C,kh,kw] given dL/dy [N,O,OH,OW]."""
-    return col2im(_output_rows(dy), k, x_shape, stride, padding)
+    return col2im(dy, k, x_shape, stride, padding)[0]
 
 
 def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dy_rows = _output_rows(dy)
-    db = dy_rows.sum(axis=0)
-    dk = (dy_rows.T @ cache["cols"]).reshape(cache["k_shape"])
-    dx = col2im(dy_rows, k, cache["x_shape"], cache["stride"], cache["padding"])
+    # Over the rows (n, oh, ow) in order, as the one-GEMM form summed them:
+    # `dy.sum(axis=(0, 2, 3))` would add in another order.
+    db = dy.transpose(0, 2, 3, 1).reshape(-1, dy.shape[1]).sum(axis=0)
+    x = cache["x"]
+    dx, dk = col2im(dy, k, x.shape, cache["stride"], cache["padding"], x)
     return dx, dk, db
 
 

@@ -95,3 +95,31 @@ def test_deploy_eval_forward_kernel_counts(mode):
     assert {name: tracer.calls(name) for name in tracer.targets} == {
         "kernels.batchnorm_eval_forward": 5, "kernels.relu": 9,
         "kernels.channel_scale": 4, "kernels.conv2d_forward": 5, "kernels.im2col": 5}
+
+
+def test_train_step_kernel_counts():
+    # One train step, forward and backward, of a small SE-ASR ResNet, traced
+    # through the module attributes the benchmark wraps: its self-check wants
+    # one `im2col` child per `conv2d_forward` span and one `col2im` child per
+    # `conv2d_backward` span, the train counterparts of the eval counts above.
+    from attnfold import (AttachSpec, AttentionKind, backward, build_toy_resnet, forward,
+                          init_params)
+    spec = AttachSpec(kind=AttentionKind("se", reduction=4), mode="asr", delta=2)
+    graph = build_toy_resnet(1, 8, 3, spec, image_size=8)
+    params = init_params(graph, seed=0)
+    x = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+    tracer = perfbench_module("tracer").Tracer(
+        ["kernels.conv2d_forward", "kernels.im2col", "kernels.conv2d_backward",
+         "kernels.col2im"])
+    tracer.install()
+    try:
+        logits, tape = forward(graph, params, x, mode="train")
+        backward(tape, np.ones(logits.shape))
+    finally:
+        tracer.uninstall()
+    tracer.check_children("kernels.conv2d_forward", "kernels.im2col", lambda note: 1)
+    tracer.check_children("kernels.conv2d_backward", "kernels.col2im", lambda note: 1)
+    convs = sum(node.kind == "conv" for node in graph.nodes)
+    assert convs == 3
+    assert {name: tracer.calls(name) for name in tracer.targets} == dict.fromkeys(
+        tracer.targets, convs)

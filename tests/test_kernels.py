@@ -1,6 +1,7 @@
-"""Conv and eval-BN kernels against loop and formula oracles: exact values,
-adjointness, fresh output, the cached patch index, the eval tap-major form
-and its per-thread workspace, and the `out=` forms of the elementwise kernels."""
+"""Conv and eval-BN kernels against loop and long-double oracles: the one-GEMM
+bits of a one-block train conv, adjointness, fresh output, the tap-major
+blocks and their per-thread workspace, and the `out=` forms of the
+elementwise kernels."""
 
 import itertools
 import sys
@@ -34,12 +35,56 @@ def loop_col2im(cols, x_shape, kh, kw, stride, padding):
     """Tap-order scatter: every pixel adds its taps in (i, j) order, from 0."""
     n, c, h, w = x_shape
     oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
+    taps = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
     img = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for i, j in itertools.product(range(kh), range(kw)):
-        for s, ch, r, q in itertools.product(range(n), range(c), range(oh), range(ow)):
-            img[s, ch, r * stride + i, q * stride + j] += \
-                cols[(s * oh + r) * ow + q, (ch * kh + i) * kw + j]
+        img[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += taps[:, :, i, j]
     return img[:, :, padding:padding + h, padding:padding + w]
+
+
+def window_im2col(x, kh, kw, stride, padding):
+    """The patch matrix in x's dtype, from numpy's sliding windows: the
+    oracle for shapes too large for `loop_im2col`."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    return win.reshape(-1, x.shape[1] * kh * kw)
+
+
+def oracle_y(x, k, stride, padding):
+    """The bias-free conv output in long double: one GEMM over the exact
+    patch matrix."""
+    n, c, h, w = x.shape
+    o, _, kh, kw = k.shape
+    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
+    cols = window_im2col(x.astype(np.longdouble), kh, kw, stride, padding)
+    y = cols @ k.reshape(o, -1).T.astype(np.longdouble)
+    return y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+
+
+def oracle_grads(x, k, dy, stride, padding):
+    """(dk, dx) of the bias-free conv in long double: dk by one GEMM over
+    the exact patch matrix, dx by the tap-order scatter."""
+    o, _, kh, kw = k.shape
+    cols = window_im2col(x.astype(np.longdouble), kh, kw, stride, padding)
+    rows = dy.transpose(0, 2, 3, 1).reshape(-1, o).astype(np.longdouble)
+    dcols = rows @ k.reshape(o, -1).astype(np.longdouble)
+    return (rows.T @ cols).reshape(k.shape), loop_col2im(dcols, x.shape, kh, kw, stride, padding)
+
+
+def assert_near(got, want):
+    """Equal up to rounding: within 1e-14 of max |want|."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def samples_per_block(shape, kh, kw, stride, padding):
+    """Samples in a full block of the tap-major layout: as many as keep its
+    matrix T (full padded rows at stride 1) within the budget."""
+    n, c, h, w = shape
+    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
+    width = w + 2 * padding if stride == 1 else ow
+    return min(n, max(1, kernels._BLOCK_BYTES // (c * kh * kw * oh * width * 8)))
 
 
 @pytest.fixture(params=GRID, ids=lambda p: "k{}x{}-s{}-p{}-n{}-c{}".format(*p))
@@ -49,46 +94,62 @@ def case(request):
     return rng, (n, c, H, W), (kh, kw, stride, padding)
 
 
-def test_im2col_matches_loop(case):
-    rng, shape, geom = case
-    x = rng.standard_normal(shape)
-    assert np.array_equal(kernels.im2col(x, *geom), loop_im2col(x, *geom))
-
-
 def identity_kernel(c, kh, kw):
-    """Kernels whose dL/dy rows are patches: `col2im` of them is a pure scatter."""
+    """Kernels whose output channels are the patch values: `im2col` of them
+    is the patch matrix, and `col2im` a pure scatter."""
     return np.eye(c * kh * kw).reshape(-1, c, kh, kw)
+
+
+def test_im2col_matches_loop(case):
+    # Both forms copy the loop's patch values: through the identity kernel
+    # every product is exact, so y is the patch matrix.
+    rng, shape, (kh, kw, stride, padding) = case
+    x = rng.standard_normal(shape)
+    eye = identity_kernel(shape[1], kh, kw)
+    want = loop_im2col(x, kh, kw, stride, padding)
+    for train in (True, False):
+        y = kernels.im2col(x, eye, stride, padding, train)
+        assert np.array_equal(y.transpose(0, 2, 3, 1).reshape(want.shape), want)
 
 
 def test_col2im_matches_tap_order_loop(case):
     rng, shape, (kh, kw, stride, padding) = case
-    rows = loop_im2col(np.zeros(shape), kh, kw, stride, padding).shape
-    cols = rng.standard_normal(rows)
+    oh, ow = kernels.conv_output_hw(H, W, kh, kw, stride, padding)
+    cols = rng.standard_normal((shape[0] * oh * ow, shape[1] * kh * kw))
+    dy = cols.reshape(shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
     eye = identity_kernel(shape[1], kh, kw)
-    assert np.array_equal(kernels.col2im(cols, eye, shape, stride, padding),
-                          loop_col2im(cols, shape, kh, kw, stride, padding))
+    dx, dk = kernels.col2im(dy, eye, shape, stride, padding)
+    assert dk is None
+    assert np.array_equal(dx, loop_col2im(cols, shape, kh, kw, stride, padding))
 
 
 def test_adjoint_identity(case):
+    # <conv(x), dy> = <x, dx> = <k, dk>: col2im is the adjoint of im2col in
+    # x and in k.
     rng, shape, (kh, kw, stride, padding) = case
     x = rng.standard_normal(shape)
-    cols = kernels.im2col(x, kh, kw, stride, padding)
-    p = rng.standard_normal(cols.shape)
-    lhs = float((cols * p).sum())
-    dx = kernels.col2im(p, identity_kernel(shape[1], kh, kw), shape, stride, padding)
-    rhs = float((x * dx).sum())
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    y = kernels.im2col(x, k, stride, padding, train=True)
+    dy = rng.standard_normal(y.shape)
+    dx, dk = kernels.col2im(dy, k, shape, stride, padding, x)
+    lhs = float((y * dy).sum())
+    for rhs in (float((x * dx).sum()), float((k * dk).sum())):
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_im2col_is_fresh_and_writable(case):
-    rng, shape, geom = case
+    # y is fresh in either form, never the workspace the blocks reuse.
+    rng, shape, (kh, kw, stride, padding) = case
     x = rng.standard_normal(shape)
+    k = rng.standard_normal((2, shape[1], kh, kw))
     before = x.copy()
-    cols = kernels.im2col(x, *geom)
-    assert cols.flags.c_contiguous and cols.flags.writeable
-    assert not np.shares_memory(cols, x)
-    cols[...] = 7.0
-    assert np.array_equal(x, before)
+    for train in (True, False):
+        y = kernels.im2col(x, k, stride, padding, train)
+        assert y.flags.c_contiguous and y.flags.writeable
+        assert not np.shares_memory(y, x)
+        assert not any(np.shares_memory(y, buf) for buf in vars(kernels._workspace).values())
+        y[...] = 7.0
+        assert np.array_equal(x, before)
 
 
 def test_backward_input_matches_conv2d_backward(case):
@@ -117,13 +178,36 @@ def test_backward_input_near_extended_precision_oracle(case):
     assert dx.tobytes() == again.tobytes()
 
 
+def test_dk_near_extended_precision_oracle(case):
+    # dk sums over T's columns, spill zeros included, in BLAS's order, not
+    # the one-GEMM form's: hold it to a long-double oracle and its own bytes.
+    rng, shape, (kh, kw, stride, padding) = case
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((2, shape[1], kh, kw))
+    y, cache = kernels.conv2d_forward(x, k, np.zeros(2), stride, padding)
+    dy = rng.standard_normal(y.shape)
+    _, dk, _ = kernels.conv2d_backward(dy, k, cache)
+    assert_near(dk, oracle_grads(x, k, dy, stride, padding)[0])
+    assert dk.tobytes() == kernels.conv2d_backward(dy, k, cache)[1].tobytes()
+
+
 def test_conv2d_backward_builds_no_patch_sized_product():
-    # dL/dx is formed per sample inside col2im, so the backward pass never
-    # holds a second [N*OH*OW, C*kh*kw] matrix next to the cached patches.
+    # Fails at the parent, whose train cache held the [N*OH*OW, C*kh*kw]
+    # patch matrix (37.7 MB here) from the forward to dk. Now the cache holds
+    # x itself and both passes take their patches one block at a time.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 16, 32, 32))
     k = rng.standard_normal((16, 16, 3, 3))
-    y, cache = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1)
+    patches = 32 * 32 * 32 * 16 * 9 * 8
+    tracemalloc.start()
+    try:
+        y, cache = kernels.conv2d_forward(x, k, np.zeros(16), 1, 1)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is x
+    assert forward_peak < y.nbytes + patches / 4
     dy = rng.standard_normal(y.shape)
     tracemalloc.start()
     try:
@@ -131,46 +215,49 @@ def test_conv2d_backward_builds_no_patch_sized_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < cache["cols"].nbytes
+    assert peak < patches / 4
 
 
 def test_im2col_of_non_contiguous_input(case):
-    rng, (n, c, h, w), geom = case
+    rng, (n, c, h, w), (kh, kw, stride, padding) = case
     x = rng.standard_normal((w, h, c, n)).transpose(3, 2, 1, 0)
     assert not x.flags.c_contiguous
-    assert np.array_equal(kernels.im2col(x, *geom), loop_im2col(x, *geom))
+    k = rng.standard_normal((2, c, kh, kw))
+    want = (loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T)
+    y = kernels.im2col(x, k, stride, padding, train=True)
+    assert np.array_equal(y, want.reshape(n, *y.shape[2:], 2).transpose(0, 3, 1, 2))
+    xc = np.ascontiguousarray(x)
+    assert (kernels.im2col(x, k, stride, padding).tobytes()
+            == kernels.im2col(xc, k, stride, padding).tobytes())
+    dy = rng.standard_normal(y.shape)
+    got, want = (kernels.col2im(dy, k, x.shape, stride, padding, a) for a in (x, xc))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_conv2d_forward_is_one_gemm_plus_bias(case):
+    # The margin of the finite-difference gradient check (c4) rests on this:
+    # a train conv whose batch fits in one block is the one GEMM over the
+    # loop-built patch matrix plus the bias, bit for bit.
     rng, shape, (kh, kw, stride, padding) = case
+    assert samples_per_block(shape, kh, kw, stride, padding) == shape[0]
     x = rng.standard_normal(shape)
-    k = rng.standard_normal((2, shape[1], kh, kw))
-    b = rng.standard_normal(2)
-    y, _ = kernels.conv2d_forward(x, k, b, stride, padding)
     oh, ow = kernels.conv_output_hw(H, W, kh, kw, stride, padding)
-    rows = loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T + b
-    assert np.array_equal(y, rows.reshape(shape[0], oh, ow, 2).transpose(0, 3, 1, 2))
-
-
-def one_gemm(x, k, stride, padding):
-    """The bias-free conv output [N,O,OH,OW] of one GEMM over the whole patch matrix."""
-    n, _, h, w = x.shape
-    o, _, kh, kw = k.shape
-    oh, ow = kernels.conv_output_hw(h, w, kh, kw, stride, padding)
-    rows = kernels.im2col(x, kh, kw, stride, padding) @ k.reshape(o, -1).T
-    return rows.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
+    for o in (1, 2, 4):
+        k = rng.standard_normal((o, shape[1], kh, kw))
+        b = rng.standard_normal(o)
+        y, _ = kernels.conv2d_forward(x, k, b, stride, padding)
+        rows = loop_im2col(x, kh, kw, stride, padding) @ k.reshape(o, -1).T + b
+        assert np.array_equal(y, rows.reshape(shape[0], oh, ow, o).transpose(0, 3, 1, 2))
 
 
 def assert_eval_form_near_oracle(x, k, stride, padding):
     # The eval form multiplies tap-major blocks with the operands swapped, so
     # BLAS may round otherwise than the one-GEMM train form: hold y to a
     # long-double oracle, and to its own bytes from call to call.
-    kh, kw = k.shape[2:]
-    want = one_gemm(x.astype(np.longdouble), k.astype(np.longdouble), stride, padding)
-    y = kernels.im2col(x, kh, kw, stride, padding, k=k)
-    assert y.shape == want.shape and y.flags.c_contiguous
-    assert np.abs(y - want).max() <= 1e-14 * np.abs(want).max()
-    assert y.tobytes() == kernels.im2col(x, kh, kw, stride, padding, k=k).tobytes()
+    y = kernels.im2col(x, k, stride, padding)
+    assert y.flags.c_contiguous
+    assert_near(y, oracle_y(x, k, stride, padding))
+    assert y.tobytes() == kernels.im2col(x, k, stride, padding).tobytes()
 
 
 def test_block_form_equals_one_gemm(case):
@@ -179,15 +266,6 @@ def test_block_form_equals_one_gemm(case):
     x = rng.standard_normal(shape)
     k = rng.standard_normal((2, shape[1], kh, kw))
     assert_eval_form_near_oracle(x, k, stride, padding)
-
-
-def samples_per_block(shape, kk, stride, padding):
-    """Samples in a full block of the eval form: as many as keep its
-    tap-major matrix (full padded rows at stride 1) within the budget."""
-    n, c, h, w = shape
-    oh, ow = kernels.conv_output_hw(h, w, kk, kk, stride, padding)
-    width = w + 2 * padding if stride == 1 else ow
-    return min(n, max(1, kernels._BLOCK_BYTES // (c * kk * kk * oh * width * 8)))
 
 
 # (x shape, output channels, kernel side, stride, padding), all multi-block.
@@ -210,7 +288,7 @@ ONE_SAMPLE_BLOCK = {
 @pytest.mark.parametrize("geom", ONE_SAMPLE_BLOCK.values(), ids=ONE_SAMPLE_BLOCK.keys())
 def test_one_sample_block_form_near_extended_precision_oracle(geom):
     shape, o, kk, stride, padding = geom
-    assert samples_per_block(shape, kk, stride, padding) == 1
+    assert samples_per_block(shape, kk, kk, stride, padding) == 1
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
@@ -220,17 +298,38 @@ def test_one_sample_block_form_near_extended_precision_oracle(geom):
 @pytest.mark.parametrize("geom", MULTI_BLOCK.values(), ids=MULTI_BLOCK.keys())
 def test_multi_block_form_near_extended_precision_oracle(geom):
     shape, o, kk, stride, padding = geom
-    assert 1 < samples_per_block(shape, kk, stride, padding) < shape[0]
+    assert 1 < samples_per_block(shape, kk, kk, stride, padding) < shape[0]
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
     assert_eval_form_near_oracle(x, k, stride, padding)
 
 
+@pytest.mark.parametrize("name", ["uneven-blocks", "stride-2", "o3", "o3-one-sample"])
+def test_train_conv_of_several_blocks_near_extended_precision_oracle(name):
+    # Over several blocks, train y is one GEMM per block, dk adds up the
+    # blocks' products and dx their taps: each equals its one-GEMM form up
+    # to rounding only, and repeats its own bytes.
+    shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_SAMPLE_BLOCK}[name]
+    assert samples_per_block(shape, kk, kk, stride, padding) < shape[0]
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    y, cache = kernels.conv2d_forward(x, k, np.zeros(o), stride, padding)
+    dy = rng.standard_normal(y.shape)
+    dx, dk, _ = kernels.conv2d_backward(dy, k, cache)
+    assert_near(y, oracle_y(x, k, stride, padding))
+    for got, want in zip((dk, dx), oracle_grads(x, k, dy, stride, padding)):
+        assert_near(got, want)
+    assert y.tobytes() == kernels.conv2d_forward(x, k, np.zeros(o), stride, padding)[0].tobytes()
+    again = kernels.conv2d_backward(dy, k, cache)
+    assert dx.tobytes() == again[0].tobytes() and dk.tobytes() == again[1].tobytes()
+
+
 @pytest.mark.parametrize("name", ["deploy-conv", "deploy-stem", "stride-2", "train-eval"])
-def test_eval_conv2d_forward_blocks_only_several_samples(name):
+def test_eval_conv2d_forward_is_the_block_form_plus_bias(name):
     # Eval mode is always the block form plus the bias, however many samples
-    # a block holds, and it agrees with train mode's one GEMM up to rounding.
+    # a block holds, and it agrees with train mode up to rounding.
     shape, o, kk, stride, padding = {**MULTI_BLOCK, **ONE_SAMPLE_BLOCK}[name]
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
@@ -238,7 +337,7 @@ def test_eval_conv2d_forward_blocks_only_several_samples(name):
     b = rng.standard_normal(o)
     y, cache = kernels.conv2d_forward(x, k, b, stride, padding, train=False)
     assert cache is None
-    want = kernels.im2col(x, kk, kk, stride, padding, k=k) + b[:, None, None]
+    want = kernels.im2col(x, k, stride, padding) + b[:, None, None]
     assert y.tobytes() == want.tobytes()
     ytrain = kernels.conv2d_forward(x, k, b, stride, padding)[0]
     assert np.abs(y - ytrain).max() <= 1e-14 * np.abs(ytrain).max()
@@ -253,11 +352,11 @@ def test_eval_form_keeps_samples_apart():
     rng = np.random.default_rng(o)
     x = rng.standard_normal(shape)
     k = rng.standard_normal((o, shape[1], kk, kk))
-    clean = kernels.im2col(x, kk, kk, stride, padding, k=k)
+    clean = kernels.im2col(x, k, stride, padding)
     for s, bad in [(0, np.nan), (2, np.inf), (35, -np.inf)]:
         x_bad = x.copy()
         x_bad[s] = bad
-        y = kernels.im2col(x_bad, kk, kk, stride, padding, k=k)
+        y = kernels.im2col(x_bad, k, stride, padding)
         rest = np.arange(shape[0]) != s
         assert y[rest].tobytes() == clean[rest].tobytes()
 
@@ -308,7 +407,7 @@ def test_one_sample_block_eval_forward_holds_far_less_than_patch_matrix():
 
 
 def in_new_thread(fn):
-    """fn() run on a new thread, whose eval-conv workspace starts empty."""
+    """fn() run on a new thread, whose conv workspace starts empty."""
     result = []
     worker = threading.Thread(target=lambda: result.append(fn()))
     worker.start()
@@ -317,7 +416,14 @@ def in_new_thread(fn):
 
 
 def eval_conv(x, k, stride, padding):
-    return kernels.im2col(x, k.shape[2], k.shape[3], stride, padding, k=k)
+    return kernels.im2col(x, k, stride, padding)
+
+
+def train_conv(x, k, stride, padding):
+    """The train y, dx and dk of x, with dL/dy = y, as one byte string."""
+    y, cache = kernels.conv2d_forward(x, k, np.zeros(k.shape[0]), stride, padding)
+    dx, dk, _ = kernels.conv2d_backward(y, k, cache)
+    return y.tobytes() + dx.tobytes() + dk.tobytes()
 
 
 def test_workspace_border_is_zero_for_each_geometry():
@@ -337,17 +443,18 @@ def test_workspace_border_is_zero_for_each_geometry():
 
 def test_workspace_is_per_thread():
     # Passes at the parent, whose buffers were fresh: four threads (two per
-    # conv, more than the cores) run two different eval convs at once, with
-    # a short switch interval, and each keeps the sequential bytes.
+    # conv, more than the cores) run two different convs at once, one eval
+    # and one train forward and backward, with a short switch interval, and
+    # each keeps the sequential bytes.
     rng = np.random.default_rng(1)
-    cases = [(rng.standard_normal((12, 16, 16, 16)), rng.standard_normal((16, 16, 3, 3)), 1),
-             (rng.standard_normal((9, 8, 12, 12)), rng.standard_normal((4, 8, 5, 5)), 2)]
-    want = [eval_conv(x, k, 1, p).tobytes() for x, k, p in cases]
+    x1, k1 = rng.standard_normal((12, 16, 16, 16)), rng.standard_normal((16, 16, 3, 3))
+    x2, k2 = rng.standard_normal((9, 8, 12, 12)), rng.standard_normal((4, 8, 5, 5))
+    cases = [lambda: eval_conv(x1, k1, 1, 1).tobytes(), lambda: train_conv(x2, k2, 1, 2)]
+    want = [conv() for conv in cases]
     got = [[] for _ in range(4)]
 
     def repeat(i):
-        x, k, p = cases[i % 2]
-        got[i].extend(eval_conv(x, k, 1, p).tobytes() for _ in range(50))
+        got[i].extend(cases[i % 2]() for _ in range(50))
     workers = [threading.Thread(target=repeat, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -378,7 +485,7 @@ def test_over_budget_sample_leaves_the_workspace_within_budget():
         y = eval_conv(x, k, 1, 1)
         return {n: b.nbytes for n, b in vars(kernels._workspace).items()}, y
     sizes, y = in_new_thread(held)
-    assert samples_per_block(x.shape, 3, 1, 1) == 1
+    assert samples_per_block(x.shape, 3, 3, 1, 1) == 1
     assert sizes == {"flat": kernels._BLOCK_BYTES, "prod": kernels._BLOCK_BYTES}
     assert y.tobytes() == eval_conv(x, k, 1, 1).tobytes()
 
@@ -399,34 +506,6 @@ def test_warm_eval_conv_allocates_only_its_output():
         tracemalloc.stop()
     assert peak < y.nbytes + 256 * 1024
     assert workspace_bytes() <= 3 * kernels._BLOCK_BYTES
-
-
-def test_patch_fill_does_not_copy_the_index():
-    # `take` copies a read-only index; the fill hands it the writable base.
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((16, 16, 32, 32))
-    cols = kernels.im2col(x, 3, 3, 1, 1)   # builds and caches the index
-    index = kernels._patch_index(16, 34, 34, 3, 3, 1)
-    tracemalloc.start()
-    try:
-        kernels.im2col(x, 3, 3, 1, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    padded = 16 * 16 * 34 * 34 * 8
-    assert peak < padded + cols.nbytes + index.nbytes // 2
-
-
-def test_patch_index_is_cached_and_read_only():
-    x = np.random.default_rng(0).standard_normal((2, 3, 7, 6))
-    kernels.im2col(x, 3, 3, 2, 1)
-    hits = kernels._patch_index.cache_info().hits
-    kernels.im2col(x[:1], 3, 3, 2, 1)
-    assert kernels._patch_index.cache_info().hits == hits + 1
-    idx = kernels._patch_index(3, 9, 8, 3, 3, 2)
-    assert idx is kernels._patch_index(3, 9, 8, 3, 3, 2)
-    with pytest.raises(ValueError, match="read-only"):
-        idx[0] = 0
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6, 5)])
