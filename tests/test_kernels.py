@@ -223,9 +223,9 @@ def test_im2col_of_non_contiguous_input(case):
     x = rng.standard_normal((w, h, c, n)).transpose(3, 2, 1, 0)
     assert not x.flags.c_contiguous
     k = rng.standard_normal((2, c, kh, kw))
-    want = (loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T)
+    rows = loop_im2col(x, kh, kw, stride, padding) @ k.reshape(2, -1).T
     y = kernels.im2col(x, k, stride, padding, train=True)
-    assert np.array_equal(y, want.reshape(n, *y.shape[2:], 2).transpose(0, 3, 1, 2))
+    assert np.array_equal(y, rows.reshape(n, *y.shape[2:], 2).transpose(0, 3, 1, 2))
     xc = np.ascontiguousarray(x)
     assert (kernels.im2col(x, k, stride, padding).tobytes()
             == kernels.im2col(xc, k, stride, padding).tobytes())
