@@ -46,7 +46,8 @@ class ParamSet:
 @dataclass
 class TapeNode:
     node: object                 # the LayerNode evaluated
-    back: object                 # dy -> (input grads, param grads by name)
+    back: object                 # dy -> (input grads, param grads by name); a conv
+                                 # on the graph input gives no input grad
 
 
 @dataclass
@@ -156,11 +157,14 @@ def _compile(graph: ModelGraph, node):
     kind, name, a = node.kind, node.name, node.attrs
     if kind == "conv":
         k_name, b_name, stride, padding = f"{name}.k", f"{name}.b", a["stride"], a["padding"]
+        # `backward` drops the gradient of the graph input: a conv fed by it
+        # takes dk and db alone.
+        need_dx = node.inputs[0] != graph.nodes[0].name
 
         def step(vals, ins, train, hook, spare):
             k = vals[k_name]
             y, cache = kernels.conv2d_forward(ins[0], k, vals[b_name], stride, padding, train)
-            return y, _rule(_conv_back, k, cache, k_name, b_name) if train else None
+            return y, _rule(_conv_back, k, cache, k_name, b_name, need_dx) if train else None
         return step
     if kind == "bn":
         g_name, b_name, rm, rv = (f"{name}.{t}" for t in
@@ -241,9 +245,9 @@ def _rule(back, *state):
     return lambda dy: back(dy, *state)
 
 
-def _conv_back(dy, k, cache, k_name, b_name):
-    dx, dk, db = kernels.conv2d_backward(dy, k, cache)
-    return [dx], {k_name: dk, b_name: db}
+def _conv_back(dy, k, cache, k_name, b_name, need_dx):
+    dx, dk, db = kernels.conv2d_backward(dy, k, cache, need_dx)
+    return [dx] if need_dx else [], {k_name: dk, b_name: db}
 
 
 def _bn_back(dy, cache, g_name, b_name):

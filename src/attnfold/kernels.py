@@ -7,6 +7,7 @@ validation; the public wrappers in `tensor` add the contract checks.
 from __future__ import annotations
 
 import mmap
+import os
 import threading
 
 import numpy as np
@@ -54,6 +55,15 @@ _BLOCK_BYTES = 1 << 20
 # Per-thread buffers of the conv blocks, reused from call to call.
 _workspace = threading.local()
 
+# A conv's blocks run on every CPU this process may use (see `_split`).
+_threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+# Inboxes of the helper threads, started on first need; a forked child has none.
+_helpers: list = []
+_helpers_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.clear)
+
 
 def _reused(name: str, size: int) -> np.ndarray:
     """`size` float64 elements of this thread's buffer `name`, whose contents
@@ -74,44 +84,101 @@ def _reused(name: str, size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _tap_blocks(shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
-                x: np.ndarray | None = None):
-    """The tap-major layout of a conv input of `shape` [N,C,H,W], one block
-    of whole samples at a time (see `im2col`).
+def _helper(inbox) -> None:
+    """A helper thread's loop: each task from `_split` runs, and its result
+    or error goes back to the caller."""
+    while True:
+        run, lo, hi, err, done = inbox.get()
+        try:
+            with np.errstate(**err):
+                result = (lo, run(lo, hi), None)
+        except BaseException as exc:
+            result = (lo, None, exc)
+        done.put(result)
+        del run, done, result   # hold none of the caller's arrays until the next task
 
-    Yields (s, e, t, strides) for each block [s, e): t is T
-    [C, kh, kw, e - s, OH, wr] in this thread's workspace, and `strides` the
-    byte strides that view a padded [.., C, Hp, Wp] buffer, from the block's
-    first sample on, in T's shape. With `x`, T holds the runs of x[s:e];
-    without, its contents are undefined.
+
+def _split(count: int, run) -> list:
+    """[run(lo, hi) for each run], over `count` items cut into contiguous
+    runs [lo, hi), one per CPU: the caller runs the first, and helper
+    threads, one per extra CPU, the rest, under the caller's numpy error
+    state. One item, or one CPU, runs inline and starts no thread. Returns
+    once every run is done; the first error, in run order, is raised.
+    """
+    runs = min(count, _threads)
+    if runs <= 1:
+        return [run(0, count)]
+    import queue   # not at import: a process whose convs are all one block never needs it
+
+    with _helpers_lock:
+        while len(_helpers) < runs - 1:
+            _helpers.append(queue.SimpleQueue())
+            threading.Thread(target=_helper, args=(_helpers[-1],), daemon=True).start()
+    bounds = [count * r // runs for r in range(runs + 1)]
+    done = queue.SimpleQueue()
+    err = {**np.geterr(), "call": np.geterrcall()}
+    for inbox, lo, hi in zip(_helpers, bounds[1:-1], bounds[2:]):
+        inbox.put((run, lo, hi, err, done))
+    got = {}
+    try:
+        got[0] = (run(0, bounds[1]), None)
+    finally:
+        # Helpers write into the caller's arrays: wait for every one, even
+        # when the caller's own run raised.
+        for _ in range(runs - 1):
+            lo, value, exc = done.get()
+            got[lo] = (value, exc)
+    for lo in bounds[:-1]:
+        if got[lo][1] is not None:
+            raise got[lo][1]
+    return [got[lo][0] for lo in bounds[:-1]]
+
+
+def _tap_blocks(shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
+                x: np.ndarray | None, body) -> list:
+    """`body(blocks, m, wr)` over the tap-major layout of a conv input of
+    `shape` [N,C,H,W] (see `im2col`), one contiguous run of its blocks per
+    CPU (`_split`); the results, in run order.
+
+    `blocks` yields (s, e, t, strides) for each block [s, e) of the run: t
+    is T [C, kh, kw, e - s, OH, wr] in the running thread's workspace, and
+    `strides` the byte strides that view a padded [.., C, Hp, Wp] buffer,
+    from the block's first sample on, in T's shape. With `x`, T holds the
+    runs of x[s:e]; without, its contents are undefined. m is the most
+    samples a block holds.
     """
     n, c, h, w = shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     rows = c * kh * kw
     if rows == 0:   # no patch rows, no blocks
-        return
+        return []
     # Stride 1 copies runs over the full padded width, whose last kw - 1
     # columns read on into the next row, sample or stale block; larger
     # strides read only the OW valid ones.
     wr = wp if stride == 1 else ow
     fit = max(1, _BLOCK_BYTES // (rows * oh * wr * 8))
-    blocks = max(1, -(-n // fit))
-    m = -(-n // blocks)
+    count = max(1, -(-n // fit))
+    m = -(-n // count)
     size = c * hp * wp
     strides = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
-    if x is not None:
-        flat = _reused("flat", m * size + kw - 1)
-        flat.fill(0.0)   # the border stays zero from block to block
-        xp = flat[:m * size].reshape(m, c, hp, wp)
-    taps = _reused("taps", rows * m * oh * wr)
-    for b in range(blocks):
-        s, e = n * b // blocks, n * (b + 1) // blocks
-        t = taps[:rows * (e - s) * oh * wr].reshape(c, kh, kw, e - s, oh, wr)
+
+    def blocks(lo, hi):
         if x is not None:
-            xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
-            np.copyto(t, np.ndarray(t.shape, buffer=flat, strides=strides))   # bounds-checked view
-        yield s, e, t, strides
+            flat = _reused("flat", m * size + kw - 1)
+            flat.fill(0.0)   # the border stays zero from block to block
+            xp = flat[:m * size].reshape(m, c, hp, wp)
+        taps = _reused("taps", rows * m * oh * wr)
+        for b in range(lo, hi):
+            s, e = n * b // count, n * (b + 1) // count
+            t = taps[:rows * (e - s) * oh * wr].reshape(c, kh, kw, e - s, oh, wr)
+            if x is not None:
+                xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+                view = np.ndarray(t.shape, buffer=flat, strides=strides)   # bounds-checked
+                np.copyto(t, view)
+            yield s, e, t, strides
+
+    return _split(count, lambda lo, hi: body(blocks(lo, hi), m, wr))
 
 
 def im2col(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
@@ -130,13 +197,23 @@ def im2col(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
     the last run stays in bounds), else the OW strided elements of each
     output row. The padded buffer, T and the block's GEMM operand or product
     are this thread's workspace (`_reused`): one `_BLOCK_BYTES` buffer each,
-    kept from call to call, or fresh when a block needs more. The padded
-    buffer is zeroed on every call, since it may hold another geometry's
-    block. Only y is fresh. Per block, y is:
+    kept from call to call, or fresh, once per call, when a block needs more.
+    The padded buffer is zeroed on every call, since it may hold another
+    geometry's block. Only y is fresh. Per block, y is:
     - eval: the valid columns of `k.reshape(O, -1) @ T`;
     - train: `rows @ k.reshape(O, -1).T`, where `rows` are the block's patch
       rows, T's valid columns copied out transposed;
     and `col2im` takes dk and dx from the same blocks.
+
+    Threads. The blocks are cut into contiguous runs, one per CPU in the
+    process's affinity mask: the calling thread runs the first, and helper
+    threads, started on first need and one per extra CPU, run the others
+    with their own workspace. A conv of one block runs inline. Helpers call
+    nothing but numpy and this module's untraced block loop, and run under
+    the caller's numpy error state, so a floating-point error or warning in
+    any block reaches the caller as if it ran them all. Each block's
+    operations are the same whatever the thread count, and no two threads
+    write the same element, so the bytes never depend on it.
 
     Bit rules. Every form repeats its own bytes exactly. The train y of a
     batch that fits in one block is bit-equal to the one-GEMM form
@@ -155,63 +232,83 @@ def im2col(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
         return np.zeros((n, o, oh, ow), dtype=np.float64)
     k2 = k.reshape(o, rows)
     y = np.empty((n, o, oh, ow), dtype=np.float64)
-    for s, e, t, _ in _tap_blocks(x.shape, kh, kw, stride, padding, x):
-        if train:
-            p = _reused("prod", (e - s) * oh * ow * rows).reshape(e - s, oh, ow, c, kh, kw)
-            np.copyto(p, t[..., :ow].transpose(3, 4, 5, 0, 1, 2))
-            yb = p.reshape(-1, rows) @ k2.T
-            y[s:e] = yb.reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
-        else:
-            wr = t.shape[-1]
-            p = _reused("prod", o * (e - s) * oh * wr).reshape(o, -1)
-            np.matmul(k2, t.reshape(rows, -1), out=p)
-            y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
+
+    def body(blocks, m, wr):
+        prod = _reused("prod", m * oh * (ow * rows if train else o * wr))
+        for s, e, t, _ in blocks:
+            if train:
+                p = prod[:(e - s) * oh * ow * rows].reshape(e - s, oh, ow, c, kh, kw)
+                np.copyto(p, t[..., :ow].transpose(3, 4, 5, 0, 1, 2))
+                yb = p.reshape(-1, rows) @ k2.T
+                y[s:e] = yb.reshape(e - s, oh, ow, o).transpose(0, 3, 1, 2)
+            else:
+                p = prod[:o * (e - s) * oh * wr].reshape(o, -1)
+                np.matmul(k2, t.reshape(rows, -1), out=p)
+                y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
+
+    _tap_blocks(x.shape, kh, kw, stride, padding, x, body)
     return y
 
 
 def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
-           padding: int, x: np.ndarray | None = None
-           ) -> tuple[np.ndarray, np.ndarray | None]:
+           padding: int, x: np.ndarray | None = None, need_dx: bool = True
+           ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(dL/dx [N,C,H,W], dL/dk [O,C,kh,kw]) of a conv with kernels k, given
-    dL/dy [N,O,OH,OW]: the backward half of `im2col`, over its blocks. dk
-    needs the input x; without it, dk is None.
+    dL/dy [N,O,OH,OW]: the backward half of `im2col`, over its blocks and
+    threads. dk needs the input x; without it, dk is None. With
+    `need_dx=False`, dx is None and neither its GEMM nor its adds run.
 
     Per block, dY is dL/dy laid out like T's columns, zero in the kw - 1
-    spill columns of each row. Then dkᵀ += T @ dYᵀ, with T rebuilt from x,
-    and G = `k.reshape(O, -1).T @ dY` is written over T. G's taps are added,
-    in (i, j) order, into a padded dx through the same strided view that
-    the copy into T reads: the exact adjoint of the copy, where the spill
-    columns add zeros. So every pixel sums its contributions in the order
-    of a tap-by-tap scatter over the batch. With the identity kernel
-    `np.eye(C*kh*kw).reshape(-1, C, kh, kw)`, G is dY's patch gradients and
-    dx is their exact tap-order scatter. See `im2col` for the bit rules.
+    spill columns of each row. Then T @ dYᵀ, with T rebuilt from x, is the
+    block's dkᵀ term; the terms are added up in block order after all runs
+    are done. G = `k.reshape(O, -1).T @ dY` is written over T, and the
+    valid columns of G's taps are added, in (i, j) order, into a padded dx
+    through the same strided view that the copy into T reads: the exact
+    adjoint of the copy. Each block's adds stay within its own samples, so
+    runs on different threads never touch the same element; every pixel
+    sums its contributions in the order of a tap-by-tap scatter over the
+    batch. With the identity kernel `np.eye(C*kh*kw).reshape(-1, C, kh,
+    kw)`, G is dY's patch gradients and dx is their exact tap-order scatter.
+    See `im2col` for the bit rules.
     """
     n, c, h, w = x_shape
     o, _, kh, kw = k.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     rows = c * kh * kw
-    # The padded dx, and past its end the last sample's kw - 1 spill slots.
-    img = np.zeros(n * c * hp * wp + kw - 1, dtype=np.float64)
-    dkt = None if x is None else np.zeros((rows, o), dtype=np.float64)
+    img = np.zeros((n, c, hp, wp), dtype=np.float64) if need_dx else None
     k2t = k.reshape(o, rows).T
-    for s, e, t, strides in _tap_blocks(x_shape, kh, kw, stride, padding, x):
-        wr = t.shape[-1]
-        d = _reused("prod", o * (e - s) * oh * wr).reshape(o, e - s, oh, wr)
-        d[..., ow:] = 0.0
-        d[..., :ow] = dy[s:e].transpose(1, 0, 2, 3)
-        d2, t2 = d.reshape(o, -1), t.reshape(rows, -1)
-        if dkt is not None:
-            dkt += t2 @ d2.T
-        np.matmul(k2t, d2, out=t2)
-        acc = np.ndarray(t.shape, buffer=img, offset=s * strides[3], strides=strides)
-        for i in range(kh):
-            for j in range(kw):
-                acc[:, i, j] += t[:, i, j]
-    dx = img[:n * c * hp * wp].reshape(n, c, hp, wp)
-    if padding > 0:
-        dx = dx[:, :, padding:padding + h, padding:padding + w]
-    return dx, None if dkt is None else dkt.T.reshape(k.shape)
+
+    def body(blocks, m, wr):
+        prod = _reused("prod", o * m * oh * wr)
+        terms = []
+        for s, e, t, strides in blocks:
+            d = prod[:o * (e - s) * oh * wr].reshape(o, e - s, oh, wr)
+            d[..., ow:] = 0.0
+            d[..., :ow] = dy[s:e].transpose(1, 0, 2, 3)
+            d2, t2 = d.reshape(o, -1), t.reshape(rows, -1)
+            if x is not None:
+                terms.append(t2 @ d2.T)
+            if need_dx:
+                np.matmul(k2t, d2, out=t2)
+                g = t[..., :ow]
+                acc = np.ndarray(g.shape, buffer=img, offset=s * strides[3], strides=strides)
+                for i in range(kh):
+                    for j in range(kw):
+                        acc[:, i, j] += g[:, i, j]
+        return terms
+
+    runs = _tap_blocks(x_shape, kh, kw, stride, padding, x, body)
+    dk = None
+    if x is not None:
+        dkt = np.zeros((rows, o), dtype=np.float64)
+        for terms in runs:
+            for term in terms:
+                dkt += term
+        dk = dkt.T.reshape(k.shape)
+    if img is not None and padding > 0:
+        img = img[:, :, padding:padding + h, padding:padding + w]
+    return img, dk
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
@@ -233,13 +330,15 @@ def conv2d_backward_input(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...
     return col2im(dy, k, x_shape, stride, padding)[0]
 
 
-def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict, need_dx: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(dx, dk, db) of the conv whose `conv2d_forward` left `cache`; dx is
+    None with `need_dx=False`, which skips its work (see `col2im`)."""
     # Over the rows (n, oh, ow) in order, as the one-GEMM form summed them:
     # `dy.sum(axis=(0, 2, 3))` would add in another order.
     db = dy.transpose(0, 2, 3, 1).reshape(-1, dy.shape[1]).sum(axis=0)
     x = cache["x"]
-    dx, dk = col2im(dy, k, x.shape, cache["stride"], cache["padding"], x)
+    dx, dk = col2im(dy, k, x.shape, cache["stride"], cache["padding"], x, need_dx)
     return dx, dk, db
 
 

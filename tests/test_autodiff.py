@@ -445,6 +445,34 @@ class TestBackwardBasics:
                                    np.outer(np.ones(2), x[0]), atol=1e-15)
         np.testing.assert_allclose(params.grads["head.b"], np.ones(2), atol=1e-15)
 
+    def test_conv_on_the_graph_input_takes_no_dx(self, monkeypatch):
+        # `backward` drops the graph input's gradient, so the stem conv asks
+        # for dk and db alone; they keep the bytes of the full backward, and
+        # every other conv still takes its dx.
+        g = se_resnet(1, 4, 6)
+        params = init_params(g, seed=3)
+        x = np.random.default_rng(4).standard_normal((2, 3, 6, 6))
+        logits, tape = forward(g, params, x, mode="train")
+        original, calls = kernels_mod.conv2d_backward, []
+
+        def recorded(dy, k, cache, need_dx=True):
+            calls.append((dy, k, cache, need_dx, original(dy, k, cache, need_dx)))
+            return calls[-1][-1]
+        monkeypatch.setattr(kernels_mod, "conv2d_backward", recorded)
+        params.zero_grads()
+        backward(tape, np.ones(logits.shape))
+        convs = [n for n in reversed(g.nodes) if n.kind == "conv"]
+        stem = g.nodes[1]
+        assert stem.kind == "conv" and stem.inputs == [g.nodes[0].name] and convs[-1] is stem
+        assert [call[3] for call in calls] == [n is not stem for n in convs]
+        dy, k, cache, _, (dx, dk, db) = calls[-1]
+        assert dx is None
+        full = original(dy, k, cache)
+        assert full[0] is not None and full[0].shape == x.shape
+        assert dk.tobytes() == full[1].tobytes() and db.tobytes() == full[2].tobytes()
+        assert params.grads[f"{stem.name}.k"].tobytes() == full[1].tobytes()
+        assert tape.entries[0].node is stem and tape.entries[0].back(dy)[0] == []
+
     def test_backward_requires_train_tape(self):
         g = tiny_graph([], input_shape=(2,), classes=2)
         params = init_params(g, seed=0)

@@ -97,17 +97,17 @@ def test_deploy_eval_forward_kernel_counts(mode):
         "kernels.channel_scale": 4, "kernels.conv2d_forward": 5, "kernels.im2col": 5}
 
 
-def test_train_step_kernel_counts():
-    # One train step, forward and backward, of a small SE-ASR ResNet, traced
-    # through the module attributes the benchmark wraps: its self-check wants
-    # one `im2col` child per `conv2d_forward` span and one `col2im` child per
-    # `conv2d_backward` span, the train counterparts of the eval counts above.
+def traced_train_step(width, image_size, batch):
+    """One traced train step, forward and backward, of a one-block SE-ASR
+    ResNet: the benchmark's self-check wants one `im2col` child per
+    `conv2d_forward` span and one `col2im` child per `conv2d_backward` span,
+    the train counterparts of the eval counts above."""
     from attnfold import (AttachSpec, AttentionKind, backward, build_toy_resnet, forward,
                           init_params)
     spec = AttachSpec(kind=AttentionKind("se", reduction=4), mode="asr", delta=2)
-    graph = build_toy_resnet(1, 8, 3, spec, image_size=8)
+    graph = build_toy_resnet(1, width, 3, spec, image_size=image_size)
     params = init_params(graph, seed=0)
-    x = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+    x = np.random.default_rng(0).standard_normal((batch, 3, image_size, image_size))
     tracer = perfbench_module("tracer").Tracer(
         ["kernels.conv2d_forward", "kernels.im2col", "kernels.conv2d_backward",
          "kernels.col2im"])
@@ -123,3 +123,18 @@ def test_train_step_kernel_counts():
     assert convs == 3
     assert {name: tracer.calls(name) for name in tracer.targets} == dict.fromkeys(
         tracer.targets, convs)
+
+
+def test_train_step_kernel_counts():
+    traced_train_step(8, 8, 4)   # every conv one block
+
+
+def test_train_step_kernel_counts_over_helper_threads(monkeypatch):
+    # At width 16 and 32x32 each conv runs one-sample blocks (the stem two
+    # blocks of four), spread over two threads: the tracer keeps one span
+    # stack, so a helper that reached a traced function would break the
+    # counts or the nesting here, not only in the benchmark.
+    from attnfold import kernels
+    monkeypatch.setattr(kernels, "_threads", 2)
+    traced_train_step(16, 32, 8)
+    assert kernels._helpers

@@ -4,9 +4,13 @@ blocks and their per-thread workspace, and the `out=` forms of the
 elementwise kernels."""
 
 import itertools
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +510,130 @@ def test_warm_eval_conv_allocates_only_its_output():
         tracemalloc.stop()
     assert peak < y.nbytes + 256 * 1024
     assert workspace_bytes() <= 3 * kernels._BLOCK_BYTES
+
+
+def serial_and_threaded(monkeypatch, threads, conv, repeats):
+    """conv() with the blocks on the calling thread alone, then `repeats`
+    times over `threads` runs, from a new thread with a short switch
+    interval and a time limit."""
+    monkeypatch.setattr(kernels, "_threads", 1)
+    want = conv()
+    monkeypatch.setattr(kernels, "_threads", threads)
+    got = []
+    worker = threading.Thread(target=lambda: got.extend(conv() for _ in range(repeats)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert len(kernels._helpers) >= threads - 1
+    return want, got
+
+
+def all_directions(x, k, stride, padding):
+    """The eval y's bytes, and the train y, dx and dk as one byte string."""
+    return eval_conv(x, k, stride, padding).tobytes(), train_conv(x, k, stride, padding)
+
+
+def test_thread_count_never_changes_bytes_on_the_grid(case, monkeypatch):
+    # Each grid geometry at the smallest batch of two blocks, one a thread,
+    # so the two runs meet at their boundary at once: every direction keeps
+    # the serial bytes. The repeats are `test_thread_count_never_changes_bytes`.
+    rng, (_, c, h, w), (kh, kw, stride, padding) = case
+    fit = samples_per_block((1 << 30, c, h, w), kh, kw, stride, padding)
+    x = rng.standard_normal((fit + 1, c, h, w))
+    k = rng.standard_normal((2, c, kh, kw))
+    want, got = serial_and_threaded(monkeypatch, 2,
+                                    lambda: all_directions(x, k, stride, padding), 1)
+    assert got == [want]
+
+
+# (x shape, output channels, kernel side, stride, padding), several blocks each.
+THREADED = {
+    "pad0": ((24, 8, 20, 20), 8, 3, 1, 0),             # 5 blocks of 5 and 4
+    "pad0-one-sample": ((8, 16, 32, 32), 8, 3, 1, 0),  # 8 one-sample blocks
+    "stride2": ((20, 16, 21, 21), 8, 3, 2, 1),         # 3 blocks
+    "kw5": ((12, 8, 16, 16), 6, 5, 1, 2),              # 6 blocks of 2
+    "kw5-pad0": ((16, 16, 14, 14), 4, 5, 1, 0),        # 8 blocks of 2
+}
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("geom", THREADED.values(), ids=THREADED.keys())
+def test_thread_count_never_changes_bytes(geom, threads, monkeypatch):
+    # At padding 0 a block's last tap runs spill into the next sample's real
+    # pixels: dx adds only the valid columns, so runs that meet there never
+    # write the same element, and repeats under a short switch interval
+    # keep the serial bytes.
+    shape, o, kk, stride, padding = geom
+    assert samples_per_block(shape, kk, kk, stride, padding) < shape[0]
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    want, got = serial_and_threaded(monkeypatch, threads,
+                                    lambda: all_directions(x, k, stride, padding), 3)
+    assert got == [want] * 3
+
+
+def conv_of_inf(direction):
+    """A conv over 13 blocks whose last sample, in a helper's run of two,
+    is inf: every direction's GEMM there meets inf - inf."""
+    shape, o, kk, stride, padding = MULTI_BLOCK["uneven-blocks"]
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    x[-1] = np.inf
+    k = rng.standard_normal((o, shape[1], kk, kk))
+    if direction == "eval":
+        return lambda: kernels.im2col(x, k, stride, padding)
+    if direction == "train-forward":
+        return lambda: kernels.conv2d_forward(x, k, np.zeros(o), stride, padding)
+    with np.errstate(all="ignore"):
+        y, cache = kernels.conv2d_forward(x, k, np.zeros(o), stride, padding)
+    dy = rng.standard_normal(y.shape)
+    return lambda: kernels.conv2d_backward(dy, k, cache)
+
+
+@pytest.mark.parametrize("direction", ["eval", "train-forward", "train-backward"])
+def test_helpers_run_under_the_callers_error_state(direction, monkeypatch):
+    # numpy's error state is per thread: a helper that ran under its own
+    # default would warn where the caller ignores, and not raise where the
+    # caller raises.
+    monkeypatch.setattr(kernels, "_threads", 2)
+    conv = conv_of_inf(direction)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        conv()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"):
+            conv()
+    assert seen == []
+
+
+def test_one_block_conv_starts_no_thread():
+    # A process whose convs are all one block (or that runs none, like the
+    # perturb sweep) starts no helper thread and imports no executor.
+    code = "\n".join([
+        "import sys, threading",
+        "import numpy as np",
+        "from attnfold import kernels",
+        "before = threading.active_count()",
+        "x, k = np.ones((4, 3, 8, 8)), np.ones((5, 3, 3, 3))",
+        "y, cache = kernels.conv2d_forward(x, k, np.zeros(5), 1, 1)",
+        "kernels.conv2d_backward(y, k, cache)",
+        "kernels.conv2d_forward(x, k, np.zeros(5), 2, 0, train=False)",
+        "assert threading.active_count() == before, threading.enumerate()",
+        "assert not kernels._helpers",
+        "assert 'concurrent.futures' not in sys.modules",
+    ])
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6, 5)])
