@@ -55,7 +55,8 @@ _BLOCK_BYTES = 1 << 20
 # Per-thread buffers of the conv blocks, reused from call to call.
 _workspace = threading.local()
 
-# A conv's blocks run on every CPU this process may use (see `_split`).
+# A conv's blocks, and the samples of a BN train pass over `_BLOCK_BYTES`,
+# run on every CPU this process may use (see `_split`).
 _threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 # Inboxes of the helper threads, started on first need; a forked child has none.
@@ -99,16 +100,17 @@ def _helper(inbox) -> None:
 
 
 def _split(count: int, run) -> list:
-    """[run(lo, hi) for each run], over `count` items cut into contiguous
-    runs [lo, hi), one per CPU: the caller runs the first, and helper
-    threads, one per extra CPU, the rest, under the caller's numpy error
-    state. One item, or one CPU, runs inline and starts no thread. Returns
-    once every run is done; the first error, in run order, is raised.
+    """[run(lo, hi) for each run], over `count` items (a conv's blocks, or
+    the samples of a BN train pass) cut into contiguous runs [lo, hi), one
+    per CPU: the caller runs the first, and helper threads, one per extra
+    CPU, the rest, under the caller's numpy error state. One item, or one
+    CPU, runs inline and starts no thread. Returns once every run is done;
+    the first error, in run order, is raised.
     """
     runs = min(count, _threads)
     if runs <= 1:
         return [run(0, count)]
-    import queue   # not at import: a process whose convs are all one block never needs it
+    import queue   # not at import: a process that never splits never needs it
 
     with _helpers_lock:
         while len(_helpers) < runs - 1:
@@ -360,32 +362,98 @@ def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
     return v if ndim == 2 else v[:, None, None]
 
 
+def _by_samples(a: np.ndarray, run) -> None:
+    """run(lo, hi) over the samples of a, spread over the CPUs by `_split`;
+    a tensor of at most `_BLOCK_BYTES` runs inline and starts no thread."""
+    if a.nbytes <= _BLOCK_BYTES:
+        run(0, a.shape[0])
+    else:
+        _split(a.shape[0], run)
+
+
 def batchnorm_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                             eps: float) -> tuple[np.ndarray, dict, np.ndarray, np.ndarray]:
-    axes = bn_axes(x)
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)  # biased, used for normalization
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - _bn_expand(mean, x.ndim)) * _bn_expand(inv_std, x.ndim)
-    y = xhat * _bn_expand(gamma, x.ndim) + _bn_expand(beta, x.ndim)
+    """(y, cache, mean, var) of batch-norm x [N,C] or [N,C,H,W] with the
+    batch statistics: x̂ = (x - mean) * inv_std, y = x̂ * gamma + beta, var
+    biased.
+
+    Threads. Two elementwise passes write x̂ and y, allocated once per call
+    in x's layout, through `out=` over contiguous runs of samples
+    (`_by_samples`: the caller runs the first, helper threads the rest and
+    call nothing but numpy). The first writes x - mean into x̂ and its
+    square into y; the second scales x̂ by inv_std and writes y. Every
+    reduction is one full-array numpy call on the calling thread: mean =
+    `x.mean(axes)`, then var = Σ(y) / m, which is numpy's own
+    `x.var(axes)`: the same squares, summed in the same layout.
+
+    Bit rule: each element takes the operations of the unfused expressions
+    in their order, and no reduction is split, so the bytes equal those
+    expressions' and never depend on the thread count. Reductions split by
+    channel (`x[:, c:c+1].sum(axis=(0, 2, 3))`) are not bit-equal to the
+    full-array reduction, so the statistics stay whole.
+    """
+    axes, e = bn_axes(x), x.ndim
     m = x.size // x.shape[1]
+    mean = x.mean(axis=axes)
+    xhat, y = np.empty_like(x), np.empty_like(x)
+    mu = _bn_expand(mean, e)
+
+    def centre(lo, hi):
+        np.subtract(x[lo:hi], mu, out=xhat[lo:hi])
+        np.square(xhat[lo:hi], out=y[lo:hi])
+    _by_samples(x, centre)
+    var = np.true_divide(y.sum(axis=axes), m)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    s, g, b = _bn_expand(inv_std, e), _bn_expand(gamma, e), _bn_expand(beta, e)
+
+    def scale(lo, hi):
+        np.multiply(xhat[lo:hi], s, out=xhat[lo:hi])
+        np.multiply(xhat[lo:hi], g, out=y[lo:hi])
+        np.add(y[lo:hi], b, out=y[lo:hi])
+    _by_samples(x, scale)
     cache = {"xhat": xhat, "inv_std": inv_std, "gamma": gamma, "m": m}
     return y, cache, mean, var
 
 
 def batchnorm_train_backward(dy: np.ndarray, cache: dict
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    axes = bn_axes(dy)
+    """(dx, dgamma, dbeta) of the batch norm whose forward left `cache`,
+    the full gradient through the batch statistics:
+    dx = inv_std / m * (m * dx̂ - Σdx̂ - x̂ * Σ(dx̂ * x̂)), dx̂ = dy * gamma.
+
+    Threads. Three elementwise passes, as in the forward, write dx and one
+    scratch t, allocated once per call in dy's layout: dy * x̂ into t and
+    dx̂ into dx; then dx̂ * x̂ into t; then dx *= m, -= Σdx̂, -= x̂ *
+    Σ(dx̂ * x̂) (through t), *= inv_std / m. The sums Σdy * x̂ (dgamma),
+    Σdy (dbeta), Σdx̂ and Σdx̂ * x̂ are each one full-array numpy call on
+    the calling thread, between the passes. The forward's bit rule holds.
+    """
+    axes, e = bn_axes(dy), dy.ndim
     xhat, inv_std, gamma, m = cache["xhat"], cache["inv_std"], cache["gamma"], cache["m"]
-    dgamma = (dy * xhat).sum(axis=axes)
+    dx, t = np.empty_like(dy), np.empty_like(dy)
+    g = _bn_expand(gamma, e)
+
+    def spread(lo, hi):
+        np.multiply(dy[lo:hi], xhat[lo:hi], out=t[lo:hi])
+        np.multiply(dy[lo:hi], g, out=dx[lo:hi])
+    _by_samples(dy, spread)
+    dgamma = t.sum(axis=axes)
     dbeta = dy.sum(axis=axes)
-    dxhat = dy * _bn_expand(gamma, dy.ndim)
-    # Full gradient through the batch statistics.
-    dx = (_bn_expand(inv_std, dy.ndim) / m) * (
-        m * dxhat
-        - _bn_expand(dxhat.sum(axis=axes), dy.ndim)
-        - xhat * _bn_expand((dxhat * xhat).sum(axis=axes), dy.ndim)
-    )
+    s1 = _bn_expand(dx.sum(axis=axes), e)
+
+    def project(lo, hi):
+        np.multiply(dx[lo:hi], xhat[lo:hi], out=t[lo:hi])
+    _by_samples(dy, project)
+    s2, k = _bn_expand(t.sum(axis=axes), e), _bn_expand(inv_std / m, e)
+
+    def combine(lo, hi):
+        d = dx[lo:hi]
+        np.multiply(d, m, out=d)
+        np.subtract(d, s1, out=d)
+        np.multiply(xhat[lo:hi], s2, out=t[lo:hi])
+        np.subtract(d, t[lo:hi], out=d)
+        np.multiply(d, k, out=d)
+    _by_samples(dy, combine)
     return dx, dgamma, dbeta
 
 

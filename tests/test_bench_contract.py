@@ -130,11 +130,19 @@ def test_train_step_kernel_counts():
 
 
 def test_train_step_kernel_counts_over_helper_threads(monkeypatch):
-    # At width 16 and 32x32 each conv runs one-sample blocks (the stem two
-    # blocks of four), spread over two threads: the tracer keeps one span
-    # stack, so a helper that reached a traced function would break the
-    # counts or the nesting here, not only in the benchmark.
+    # At width 16 and 32x32 each conv runs one-sample blocks (the stem three
+    # blocks of three), and each BN tensor (9x16x32x32, over the 1 MiB
+    # budget) its elementwise passes, spread over two threads: the tracer
+    # keeps one span stack, so a helper that reached a traced function would
+    # break the counts or the nesting here, not only in the benchmark.
     from attnfold import kernels
     monkeypatch.setattr(kernels, "_threads", 2)
-    traced_train_step(16, 32, 8)
+    split, callers = kernels._split, set()
+
+    def seen(count, run):
+        callers.add(run.__qualname__.split(".")[0])
+        return split(count, run)
+    monkeypatch.setattr(kernels, "_split", seen)
+    traced_train_step(16, 32, 9)
     assert kernels._helpers
+    assert {"_tap_blocks", "batchnorm_train_forward", "batchnorm_train_backward"} <= callers

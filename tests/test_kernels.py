@@ -1,9 +1,11 @@
-"""Conv and eval-BN kernels against loop and long-double oracles: the one-GEMM
-bits of a one-block train conv, adjointness, fresh output, the tap-major
-blocks and their per-thread workspace, and the `out=` forms of the
+"""Conv and BN kernels against loop, long-double and unfused oracles: the
+one-GEMM bits of a one-block train conv, adjointness, fresh output, the
+tap-major blocks and their per-thread workspace, the BN train passes' bytes,
+memory and write ranges over helper threads, and the `out=` forms of the
 elementwise kernels."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -596,13 +598,36 @@ def conv_of_inf(direction):
     return lambda: kernels.conv2d_backward(dy, k, cache)
 
 
-@pytest.mark.parametrize("direction", ["eval", "train-forward", "train-backward"])
+def bn_of_inf(direction):
+    """A BN train pass over 16 samples (over `_BLOCK_BYTES`) whose last
+    sample is inf, built so that only the helper's run, samples 8 to 15,
+    meets inf - inf: in the forward, x - mean there; in the backward, the
+    sums through dy's inf reach every sample, and x̂ has the last sample's
+    sign in the caller's run and the other sign in the rest of the helper's."""
+    rng = np.random.default_rng(5)
+    shape = (16, 8, 40, 40)
+    assert 8 * math.prod(shape) > kernels._BLOCK_BYTES
+    gamma, beta = np.ones(8), np.zeros(8)
+    if direction == "bn-train-forward":
+        x = rng.standard_normal(shape)
+        x[-1] = np.inf
+        return lambda: kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)
+    x = 5.0 + np.abs(rng.standard_normal(shape))
+    x[8:15] *= -1.0
+    cache = kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)[1]
+    dy = rng.standard_normal(shape)
+    dy[-1] = np.inf
+    return lambda: kernels.batchnorm_train_backward(dy, cache)
+
+
+@pytest.mark.parametrize("direction", ["eval", "train-forward", "train-backward",
+                                       "bn-train-forward", "bn-train-backward"])
 def test_helpers_run_under_the_callers_error_state(direction, monkeypatch):
     # numpy's error state is per thread: a helper that ran under its own
     # default would warn where the caller ignores, and not raise where the
     # caller raises.
     monkeypatch.setattr(kernels, "_threads", 2)
-    conv = conv_of_inf(direction)
+    conv = (bn_of_inf if direction.startswith("bn-") else conv_of_inf)(direction)
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         conv()
     with warnings.catch_warnings(record=True) as seen:
@@ -613,8 +638,9 @@ def test_helpers_run_under_the_callers_error_state(direction, monkeypatch):
 
 
 def test_one_block_conv_starts_no_thread():
-    # A process whose convs are all one block (or that runs none, like the
-    # perturb sweep) starts no helper thread and imports no executor.
+    # A process whose convs are all one block and whose BN tensors are all
+    # within `_BLOCK_BYTES` (or that runs neither, like the perturb sweep)
+    # starts no helper thread and imports no executor.
     code = "\n".join([
         "import sys, threading",
         "import numpy as np",
@@ -624,6 +650,10 @@ def test_one_block_conv_starts_no_thread():
         "y, cache = kernels.conv2d_forward(x, k, np.zeros(5), 1, 1)",
         "kernels.conv2d_backward(y, k, cache)",
         "kernels.conv2d_forward(x, k, np.zeros(5), 2, 0, train=False)",
+        "x = np.arange(8 * 16 * 32 * 32, dtype=float).reshape(8, 16, 32, 32)",
+        "assert x.nbytes == kernels._BLOCK_BYTES",
+        "y, cache, _, _ = kernels.batchnorm_train_forward(x, np.ones(16), np.zeros(16), 1e-5)",
+        "kernels.batchnorm_train_backward(y, cache)",
         "assert threading.active_count() == before, threading.enumerate()",
         "assert not kernels._helpers",
         "assert 'concurrent.futures' not in sys.modules",
@@ -634,6 +664,223 @@ def test_one_block_conv_starts_no_thread():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def oracle_bn_forward(x, gamma, beta, eps):
+    """The unfused BN train forward that `kernels.batchnorm_train_forward`
+    replaced, kept as its oracle: (y, x̂, inv_std, mean, var)."""
+    axes = kernels.bn_axes(x)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - kernels._bn_expand(mean, x.ndim)) * kernels._bn_expand(inv_std, x.ndim)
+    y = xhat * kernels._bn_expand(gamma, x.ndim) + kernels._bn_expand(beta, x.ndim)
+    return y, xhat, inv_std, mean, var
+
+
+def oracle_bn_backward(dy, xhat, inv_std, gamma):
+    """The unfused BN train backward, kept as its oracle: (dx, dgamma, dbeta)."""
+    axes, e = kernels.bn_axes(dy), dy.ndim
+    m = dy.size // dy.shape[1]
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    dxhat = dy * kernels._bn_expand(gamma, e)
+    dx = (kernels._bn_expand(inv_std, e) / m) * (
+        m * dxhat
+        - kernels._bn_expand(dxhat.sum(axis=axes), e)
+        - xhat * kernels._bn_expand((dxhat * xhat).sum(axis=axes), e)
+    )
+    return dx, dgamma, dbeta
+
+
+def bn_train(x, gamma, beta, dy):
+    """BN train forward then backward: (y, x̂, inv_std, mean, var, dx,
+    dgamma, dbeta), as one byte string."""
+    y, cache, mean, var = kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)
+    grads = kernels.batchnorm_train_backward(dy, cache)
+    return b"".join(a.tobytes() for a in (y, cache["xhat"], cache["inv_std"], mean, var,
+                                         *grads))
+
+
+BN_SHAPES = {
+    "5x3x7x9": (5, 3, 7, 9),           # odd H*W
+    "4x2x3x3": (4, 2, 3, 3),
+    "N1": (1, 4, 5, 5),
+    "N1-over-budget": (1, 16, 96, 96),   # one sample: one run
+    "over-budget": (32, 16, 32, 32),     # the train workload's BN
+    "over-budget-odd": (9, 16, 33, 31),
+    "2d": (32, 10),
+    "2d-small": (7, 3),
+    "2d-over-budget": (5000, 30),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("shape", BN_SHAPES.values(), ids=BN_SHAPES.keys())
+def test_batchnorm_train_bytes_equal_the_unfused_oracle(shape, threads, monkeypatch):
+    # Each element takes the oracle's operations in its order and every
+    # reduction is one full-array call on the caller, so every output keeps
+    # the oracle's bytes at every thread count.
+    rng = np.random.default_rng(math.prod(shape))
+    x = rng.standard_normal(shape) * 3.0 + 1.0
+    gamma, beta = rng.standard_normal((2, shape[1]))
+    dy = rng.standard_normal(shape)
+    fwd = oracle_bn_forward(x, gamma, beta, 1e-5)
+    want = b"".join(a.tobytes() for a in (*fwd, *oracle_bn_backward(dy, *fwd[1:3], gamma)))
+    # `serial_and_threaded` checks that the helpers exist; a tensor within
+    # the budget runs inline and starts none, so start them here.
+    monkeypatch.setattr(kernels, "_threads", threads)
+    kernels._split(threads, lambda lo, hi: None)
+    serial, got = serial_and_threaded(monkeypatch, threads,
+                                      lambda: bn_train(x, gamma, beta, dy), 2)
+    assert serial == want
+    assert got == [want] * 2
+
+
+def test_batchnorm_train_holds_its_outputs_and_one_scratch():
+    # Fails at the parent, whose unfused expressions held three fresh tensors
+    # at once in each direction (12 MiB here). The forward holds x̂ and y,
+    # the backward dx and one scratch, whatever the thread count.
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((32, 16, 32, 32))
+    gamma, beta = rng.standard_normal((2, 16))
+    kernels.batchnorm_train_backward(x, kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)[1])
+    slack = 256 * 1024
+    tracemalloc.start()
+    try:
+        y, cache, _, _ = kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        del y
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        kernels.batchnorm_train_backward(x, cache)
+        backward_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward_peak <= 2 * x.nbytes + slack
+    assert backward_peak <= 2 * x.nbytes + slack
+
+
+class WriteLog:
+    """Stands in for numpy inside `kernels`, and wraps `kernels._split`, to
+    record where each run writes: the byte bounds of every strided view made
+    over a buffer (col2im's `acc`; the tap copy's read view is over the
+    workspace) and of every ufunc's `out=` (the BN passes), each with the
+    buffer it lies in and the run (split call, count, lo, hi) that made it."""
+
+    def __init__(self, monkeypatch):
+        self.writes = []
+        self.current = threading.local()
+        calls = itertools.count()
+        split = kernels._split
+
+        def logged_split(count, run):
+            call = next(calls)
+
+            def logged(lo, hi):
+                self.current.run = (call, count, lo, hi)
+                try:
+                    return run(lo, hi)
+                finally:
+                    self.current.run = None
+            return split(count, logged)
+        monkeypatch.setattr(kernels, "_split", logged_split)
+        monkeypatch.setattr(kernels, "np", self)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def call(*args, **kw):
+            if kw.get("out") is not None:
+                self.note(kw["out"], kw["out"] if kw["out"].base is None else kw["out"].base)
+            return attr(*args, **kw)
+        return call
+
+    def ndarray(self, *args, buffer=None, **kw):
+        view = np.ndarray(*args, buffer=buffer, **kw)
+        if buffer is not None:
+            self.note(view, buffer)
+        return view
+
+    def note(self, view, buffer):
+        run = getattr(self.current, "run", None)
+        self.writes.append((run, buffer, np.lib.array_utils.byte_bounds(view)))
+
+    def buffers(self):
+        """Every buffer written, once each, in order."""
+        seen = []
+        for _, buffer, _ in self.writes:
+            if not any(buffer is b for b in seen):
+                seen.append(buffer)
+        return seen
+
+
+def assert_runs_write_apart(log, buffer, n, item):
+    """Every write into `buffer`, whose n samples are `item` bytes each,
+    lies inside the samples of its run, and the runs of each split write
+    disjoint byte ranges."""
+    start = np.lib.array_utils.byte_bounds(buffer)[0]
+    splits = {}
+    for run, written, (lo_b, hi_b) in log.writes:
+        if written is not buffer:
+            continue
+        assert run is not None
+        call, count, lo, hi = run
+        s, e = n * lo // count, n * hi // count
+        assert start + s * item <= lo_b and hi_b <= start + e * item, (run, s, e)
+        splits.setdefault(call, {}).setdefault((lo, hi), []).append((lo_b, hi_b))
+    assert splits
+    for runs in splits.values():
+        assert len(runs) >= 2
+        extents = sorted((min(a for a, _ in w), max(b for _, b in w)) for w in runs.values())
+        assert all(end <= begin for (_, end), (begin, _) in zip(extents, extents[1:]))
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("geom", THREADED.values(), ids=THREADED.keys())
+def test_col2im_runs_add_inside_their_own_samples(geom, threads, monkeypatch):
+    # The byte tests cannot see a race whose colliding adds are exact zeros:
+    # col2im's former full-width tap adds wrote kw - 1 spill columns past a
+    # block's last sample, into the next run's first sample (or the tail),
+    # and kept the serial bytes. Here each block's `acc` view must stay
+    # inside its run's samples of the padded dx.
+    shape, o, kk, stride, padding = geom
+    n, c, h, w = shape
+    rng = np.random.default_rng(o)
+    x = rng.standard_normal(shape)
+    k = rng.standard_normal((o, c, kk, kk))
+    monkeypatch.setattr(kernels, "_threads", threads)
+    y, cache = kernels.conv2d_forward(x, k, np.zeros(o), stride, padding)
+    log = WriteLog(monkeypatch)
+    dx = kernels.conv2d_backward(y, k, cache)[0]
+    img = dx if dx.base is None else dx.base
+    item = c * (h + 2 * padding) * (w + 2 * padding) * 8
+    assert_runs_write_apart(log, img, n, item)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("shape", [(9, 16, 33, 31), (5000, 30)], ids=["4d", "2d"])
+def test_batchnorm_passes_write_inside_their_own_samples(shape, threads, monkeypatch):
+    # Every BN train pass writes only its run's samples of x̂ and y (forward)
+    # or of dx and its one scratch (backward).
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape)
+    gamma, beta = rng.standard_normal((2, shape[1]))
+    monkeypatch.setattr(kernels, "_threads", threads)
+    log = WriteLog(monkeypatch)
+    y, cache, _, _ = kernels.batchnorm_train_forward(x, gamma, beta, 1e-5)
+    written = log.buffers()
+    assert {id(b) for b in written} == {id(cache["xhat"]), id(y)}
+    for buffer in written:
+        assert_runs_write_apart(log, buffer, shape[0], x[0].nbytes)
+    log.writes.clear()
+    dx = kernels.batchnorm_train_backward(x, cache)[0]
+    written = log.buffers()
+    assert len(written) == 2 and id(dx) in {id(b) for b in written}
+    for buffer in written:
+        assert_runs_write_apart(log, buffer, shape[0], x[0].nbytes)
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (3, 4, 6, 5)])
