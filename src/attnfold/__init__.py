@@ -16,8 +16,8 @@ from .graph import LayerNode, ModelGraph, count_flops_conv, count_params, init_p
 from .analysis import (BenchResult, NoiseSpec, PerturbationTrace, bench,
                        freeze_attention_eval, noise_attack_eval, perturb_trace,
                        stripe_channel_std, stripe_first_diff)
-from .tensor import ConvSpec, MatrixOperator, ConvOperator, Tensor, batchnorm_infer, \
-    channel_mul, conv2d, global_avg_pool, linear, relu, sigmoid, spectral_norm
+from .tensor import ConvSpec, MatrixOperator, Tensor, batchnorm_infer, channel_mul, \
+    conv2d, global_avg_pool, linear, relu, sigmoid, spectral_norm
 from .train import StripeRecord, TrainResult, evaluate, lr_at, sgd_step, train
 
 __version__ = "0.1.0"

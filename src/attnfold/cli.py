@@ -140,9 +140,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_fuse(args) -> int:
+def check_verify_args(args) -> None:
+    """Reject a fuse or verify `--n` below 1 or a `--tol` that is negative or
+    NaN, before anything is loaded or written."""
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not args.tol >= 0:   # NaN fails too
+        raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
+
+
+def cmd_fuse(args) -> int:
+    check_verify_args(args)
     graph, params = load_checkpoint(args.checkpoint_in)
     fused_graph, fused_params, report = fuse_model(graph, params,
                                                    verify_samples=args.n,
@@ -162,8 +170,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    check_verify_args(args)
     a = load_checkpoint(args.checkpoint_a)
     b = load_checkpoint(args.checkpoint_b)
     dev = verify_equivalence(a, b, n=args.n, seed=args.seed)
@@ -283,8 +290,10 @@ def strip_attention(graph: ModelGraph, params):
 
 
 def cmd_bench(args) -> int:
-    graph, params = load_checkpoint(args.checkpoint)
     shape = tuple(int(d) for d in args.input_shape.split(","))
+    if shape[0] < 1:
+        raise ConfigError(f"--input-shape batch must be >= 1, got {shape[0]}")
+    graph, params = load_checkpoint(args.checkpoint)
     rows = []
     res = bench(graph, params, shape, warmup=args.warmup, iters=args.iters,
                 seed=args.seed)

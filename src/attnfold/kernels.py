@@ -136,20 +136,18 @@ def _split(count: int, run) -> list:
     return [got[lo][0] for lo in bounds[:-1]]
 
 
-def _tap_blocks(shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int,
-                x: np.ndarray | None, body) -> list:
-    """`body(blocks, m, wr)` over the tap-major layout of a conv input of
-    `shape` [N,C,H,W] (see `im2col`), one contiguous run of its blocks per
-    CPU (`_split`); the results, in run order.
+def _tap_blocks(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, body) -> list:
+    """`body(blocks, m, wr)` over the tap-major layout of the conv input x
+    [N,C,H,W] (see `im2col`), one contiguous run of its blocks per CPU
+    (`_split`); the results, in run order.
 
     `blocks` yields (s, e, t, strides) for each block [s, e) of the run: t
-    is T [C, kh, kw, e - s, OH, wr] in the running thread's workspace, and
-    `strides` the byte strides that view a padded [.., C, Hp, Wp] buffer,
-    from the block's first sample on, in T's shape. With `x`, T holds the
-    runs of x[s:e]; without, its contents are undefined. m is the most
-    samples a block holds.
+    is T [C, kh, kw, e - s, OH, wr], the runs of x[s:e] in the running
+    thread's workspace, and `strides` the byte strides that view a padded
+    [.., C, Hp, Wp] buffer, from the block's first sample on, in T's shape.
+    m is the most samples a block holds.
     """
-    n, c, h, w = shape
+    n, c, h, w = x.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
     rows = c * kh * kw
@@ -166,18 +164,16 @@ def _tap_blocks(shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: 
     strides = tuple(8 * v for v in (hp * wp, wp, 1, size, stride * wp, stride))
 
     def blocks(lo, hi):
-        if x is not None:
-            flat = _reused("flat", m * size + kw - 1)
-            flat.fill(0.0)   # the border stays zero from block to block
-            xp = flat[:m * size].reshape(m, c, hp, wp)
+        flat = _reused("flat", m * size + kw - 1)
+        flat.fill(0.0)   # the border stays zero from block to block
+        xp = flat[:m * size].reshape(m, c, hp, wp)
         taps = _reused("taps", rows * m * oh * wr)
         for b in range(lo, hi):
             s, e = n * b // count, n * (b + 1) // count
             t = taps[:rows * (e - s) * oh * wr].reshape(c, kh, kw, e - s, oh, wr)
-            if x is not None:
-                xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
-                view = np.ndarray(t.shape, buffer=flat, strides=strides)   # bounds-checked
-                np.copyto(t, view)
+            xp[:e - s, :, padding:padding + h, padding:padding + w] = x[s:e]
+            view = np.ndarray(t.shape, buffer=flat, strides=strides)   # bounds-checked
+            np.copyto(t, view)
             yield s, e, t, strides
 
     return _split(count, lambda lo, hi: body(blocks(lo, hi), m, wr))
@@ -248,17 +244,16 @@ def im2col(x: np.ndarray, k: np.ndarray, stride: int, padding: int,
                 np.matmul(k2, t.reshape(rows, -1), out=p)
                 y[s:e] = p.reshape(o, e - s, oh, wr)[..., :ow].transpose(1, 0, 2, 3)
 
-    _tap_blocks(x.shape, kh, kw, stride, padding, x, body)
+    _tap_blocks(x, kh, kw, stride, padding, body)
     return y
 
 
-def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
-           padding: int, x: np.ndarray | None = None, need_dx: bool = True
-           ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(dL/dx [N,C,H,W], dL/dk [O,C,kh,kw]) of a conv with kernels k, given
-    dL/dy [N,O,OH,OW]: the backward half of `im2col`, over its blocks and
-    threads. dk needs the input x; without it, dk is None. With
-    `need_dx=False`, dx is None and neither its GEMM nor its adds run.
+def col2im(dy: np.ndarray, k: np.ndarray, x: np.ndarray, stride: int, padding: int,
+           need_dx: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """(dL/dx [N,C,H,W], dL/dk [O,C,kh,kw]) of a conv of the input x with
+    kernels k, given dL/dy [N,O,OH,OW]: the backward half of `im2col`, over
+    its blocks and threads. With `need_dx=False`, dx is None and neither its
+    GEMM nor its adds run.
 
     Per block, dY is dL/dy laid out like T's columns, zero in the kw - 1
     spill columns of each row. Then T @ dYᵀ, with T rebuilt from x, is the
@@ -273,7 +268,7 @@ def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
     kw)`, G is dY's patch gradients and dx is their exact tap-order scatter.
     See `im2col` for the bit rules.
     """
-    n, c, h, w = x_shape
+    n, c, h, w = x.shape
     o, _, kh, kw = k.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
@@ -289,8 +284,7 @@ def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
             d[..., ow:] = 0.0
             d[..., :ow] = dy[s:e].transpose(1, 0, 2, 3)
             d2, t2 = d.reshape(o, -1), t.reshape(rows, -1)
-            if x is not None:
-                terms.append(t2 @ d2.T)
+            terms.append(t2 @ d2.T)
             if need_dx:
                 np.matmul(k2t, d2, out=t2)
                 g = t[..., :ow]
@@ -300,17 +294,13 @@ def col2im(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...], stride: int,
                         acc[:, i, j] += g[:, i, j]
         return terms
 
-    runs = _tap_blocks(x_shape, kh, kw, stride, padding, x, body)
-    dk = None
-    if x is not None:
-        dkt = np.zeros((rows, o), dtype=np.float64)
-        for terms in runs:
-            for term in terms:
-                dkt += term
-        dk = dkt.T.reshape(k.shape)
+    dkt = np.zeros((rows, o), dtype=np.float64)
+    for terms in _tap_blocks(x, kh, kw, stride, padding, body):
+        for term in terms:
+            dkt += term
     if img is not None and padding > 0:
         img = img[:, :, padding:padding + h, padding:padding + w]
-    return img, dk
+    return img, dkt.T.reshape(k.shape)
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
@@ -326,12 +316,6 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int,
     return y, {"x": x, "stride": stride, "padding": padding} if train else None
 
 
-def conv2d_backward_input(dy: np.ndarray, k: np.ndarray, x_shape: tuple[int, ...],
-                          stride: int, padding: int) -> np.ndarray:
-    """dL/dx of a conv with kernels k [O,C,kh,kw] given dL/dy [N,O,OH,OW]."""
-    return col2im(dy, k, x_shape, stride, padding)[0]
-
-
 def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict, need_dx: bool = True
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """(dx, dk, db) of the conv whose `conv2d_forward` left `cache`; dx is
@@ -339,8 +323,7 @@ def conv2d_backward(dy: np.ndarray, k: np.ndarray, cache: dict, need_dx: bool = 
     # Over the rows (n, oh, ow) in order, as the one-GEMM form summed them:
     # `dy.sum(axis=(0, 2, 3))` would add in another order.
     db = dy.transpose(0, 2, 3, 1).reshape(-1, dy.shape[1]).sum(axis=0)
-    x = cache["x"]
-    dx, dk = col2im(dy, k, x.shape, cache["stride"], cache["padding"], x, need_dx)
+    dx, dk = col2im(dy, k, cache["x"], cache["stride"], cache["padding"], need_dx)
     return dx, dk, db
 
 

@@ -157,51 +157,12 @@ def linear(x, w, b) -> Tensor:
 
 
 class MatrixOperator:
-    """Explicit matrix as a linear operator."""
+    """Explicit matrix as a linear operator, for `spectral_norm`."""
 
     def __init__(self, w):
         self.w = as_array(w)
         if self.w.ndim != 2:
             raise ShapeError(f"matrix operator expects 2-D array, got {self.w.shape}")
-
-    @property
-    def input_size(self) -> int:
-        return self.w.shape[1]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.w @ v
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        return self.w.T @ v
-
-
-class ConvOperator:
-    """A convolution as an implicit linear map at a fixed input shape.
-
-    The bias is excluded: the operator is the linear part only.
-    """
-
-    def __init__(self, k, spec: ConvSpec, input_hw: tuple[int, int]):
-        self.k = as_array(k)
-        self.spec = spec
-        self.h, self.w = input_hw
-        self.oh, self.ow = spec.output_hw(self.h, self.w, self.k.shape[2], self.k.shape[3])
-
-    @property
-    def input_size(self) -> int:
-        return self.k.shape[1] * self.h * self.w
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        x = v.reshape(1, self.k.shape[1], self.h, self.w)
-        y, _ = kernels.conv2d_forward(x, self.k, np.zeros(self.k.shape[0]),
-                                      self.spec.stride, self.spec.padding, train=False)
-        return y.reshape(-1)
-
-    def apply_transpose(self, v: np.ndarray) -> np.ndarray:
-        dy = v.reshape(1, self.k.shape[0], self.oh, self.ow)
-        dx = kernels.conv2d_backward_input(dy, self.k, (1, self.k.shape[1], self.h, self.w),
-                                           self.spec.stride, self.spec.padding)
-        return dx.reshape(-1)
 
 
 # Facts about arrays held in immutable `bytes`, by identity (`immutable_memo`):
@@ -253,49 +214,21 @@ def all_finite(a: np.ndarray) -> bool:
     return immutable_memo("finite", (a,), lambda: bool(np.isfinite(a).all()))
 
 
-def spectral_norm(op, iters: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
-    """Largest singular value ||A||_2 of a linear operator.
-
-    For an explicit `MatrixOperator` the norm is exact up to rounding: one
-    symmetric eigen-solve of the smaller Gram matrix (W W^T or W^T W). For an
-    implicit operator such as `ConvOperator`, which has no dense matrix,
-    power iteration v <- A^T A v runs from a seeded start vector and stops
-    early when successive estimates differ by less than `tol`; `iters`, `tol`
-    and `seed` apply to that path only. Its estimate approaches the norm from
-    below, its error shrinking by (s2/s1)^2 per step, so a near-tied leading
-    pair of singular values slows it. Returns 0 for the zero operator.
+def spectral_norm(op: MatrixOperator, iters: int = 100, tol: float = 1e-8,
+                  seed: int = 0) -> float:
+    """Largest singular value ||W||_2 of a `MatrixOperator`, exact up to
+    rounding: one symmetric eigen-solve of the smaller Gram matrix (W W^T or
+    W^T W). Returns 0 for the zero or empty matrix. `iters`, `tol` and `seed`
+    are accepted and ignored.
 
     A matrix held in immutable `bytes` (every tensor `load_checkpoint`
     returns) cannot change, so its norm is solved once and found again by
     identity (`immutable_memo`); every other matrix is solved on every call,
-    so one changed in place is solved afresh. Implicit operators are never
-    memoised.
+    so one changed in place is solved afresh.
     """
-    if iters < 1:
-        raise InvariantError(f"iters must be >= 1, got {iters}")
-    if isinstance(op, MatrixOperator):
-        w = op.w
+    w = op.w
 
-        def solve():
-            gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
-            return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
-        return immutable_memo("norm", (w,), solve)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.input_size)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        av = op.apply(v)
-        nav = np.linalg.norm(av)
-        if nav == 0.0:
-            return 0.0
-        new_est = nav  # ||A v|| with ||v|| == 1
-        w = op.apply_transpose(av)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return float(new_est)
-        v = w / nw
-        if abs(new_est - est) < tol:
-            return float(new_est)
-        est = new_est
-    return float(est)
+    def solve():
+        gram = w @ w.T if w.shape[0] < w.shape[1] else w.T @ w
+        return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
+    return immutable_memo("norm", (w,), solve)

@@ -151,8 +151,8 @@ class TestPerturbTrace:
         assert tr_asr.bound_product < tr_plain.bound_product
 
     def test_w_norm_is_exact(self):
-        # power iteration under-estimated block0's norm here by 6.7e-7, so
-        # the factor was not an upper bound
+        # an iterative estimate under-estimated block0's norm here by
+        # 6.7e-7, so the factor was not an upper bound
         g = build_residual_chain(8, 128, psi_seed=0)
         p = init_params(g, seed=100)
         x0 = np.random.default_rng(12).standard_normal(128)

@@ -1,10 +1,15 @@
 """The names the benchmark binds to: every traced layer in
 `perfbench/layers.py` is a callable of its attnfold module, and a train step,
 a perturb sweep and a deploy eval forward make the traced calls the
-workloads expect. The benchmark files are read, not changed."""
+workloads expect. The benchmark files are read, not changed; the one test
+that runs the benchmark itself runs a copy."""
 
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +151,22 @@ def test_train_step_kernel_counts_over_helper_threads(monkeypatch):
     traced_train_step(16, 32, 9)
     assert kernels._helpers
     assert {"_tap_blocks", "batchnorm_train_forward", "batchnorm_train_backward"} <= callers
+
+
+def test_traced_perturb_benchmark_passes_its_gates_and_self_check(tmp_path):
+    # The benchmark's own probes (the `tensor.spectral_norm` one reads the
+    # operator's matrix) and tracer self-check, run end to end on a copy of
+    # the tree so that its `.perfbench_work/` stays out of the repository.
+    root = PERFBENCH.parent
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_work")
+    for name in ("src", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "perturb", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "trace self-check passed" in proc.stdout
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    assert "tensor.spectral_norm.useful_ratio" in result["metrics"]

@@ -202,6 +202,20 @@ class TestFuseVerify:
         assert capsys.readouterr().err == f"error: --n must be >= 1, got {n}\n"
         assert not fused.exists() and not (tmp_path / "fused_fusion_report.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "-0.5"])
+    @pytest.mark.parametrize("command", ["fuse", "verify"])
+    def test_nan_or_negative_tol_exits_1(self, tmp_path, capsys, command, tol):
+        # verify --tol nan used to compare a zero deviation against NaN and
+        # report "deviation 0.0 exceeds tol nan".
+        clean, _ = nan_checkpoint_pair(tmp_path)
+        fused = tmp_path / "fused.ckpt"
+        assert run(["--out-root", tmp_path / "runs", command, clean,
+                    fused if command == "fuse" else clean, "--tol", tol]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --tol must be a non-negative number, got {tol}\n"
+        assert not fused.exists() and not (tmp_path / "fused_fusion_report.csv").exists()
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_fails_closed_on_overflowing_forward(self, tmp_path, capsys):
         # Finite weights load, but inf - inf in the forward makes the deviation NaN.
@@ -577,8 +591,9 @@ class TestBenchCommand:
         base = lines[3].split(",")
         assert fused[1] == base[1] and fused[2] == base[2]
 
-    @pytest.mark.parametrize("args", [["--iters", 0], ["--input-shape", "2,9"]],
-                             ids=["zero-iters", "wrong-width"])
+    @pytest.mark.parametrize("args", [["--iters", 0], ["--input-shape", "2,9"],
+                                      ["--input-shape", "0,8"]],
+                             ids=["zero-iters", "wrong-width", "zero-batch"])
     def test_rejected_bench_exits_1(self, workspace, capsys, args):
         root, _ = workspace
         ckpt = root / "chain.ckpt"

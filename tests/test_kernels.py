@@ -124,8 +124,7 @@ def test_col2im_matches_tap_order_loop(case):
     cols = rng.standard_normal((shape[0] * oh * ow, shape[1] * kh * kw))
     dy = cols.reshape(shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
     eye = identity_kernel(shape[1], kh, kw)
-    dx, dk = kernels.col2im(dy, eye, shape, stride, padding)
-    assert dk is None
+    dx, _ = kernels.col2im(dy, eye, rng.standard_normal(shape), stride, padding)
     assert np.array_equal(dx, loop_col2im(cols, shape, kh, kw, stride, padding))
 
 
@@ -137,7 +136,7 @@ def test_adjoint_identity(case):
     k = rng.standard_normal((2, shape[1], kh, kw))
     y = kernels.im2col(x, k, stride, padding, train=True)
     dy = rng.standard_normal(y.shape)
-    dx, dk = kernels.col2im(dy, k, shape, stride, padding, x)
+    dx, dk = kernels.col2im(dy, k, x, stride, padding)
     lhs = float((y * dy).sum())
     for rhs in (float((x * dx).sum()), float((k * dk).sum())):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -158,16 +157,6 @@ def test_im2col_is_fresh_and_writable(case):
         assert np.array_equal(x, before)
 
 
-def test_backward_input_matches_conv2d_backward(case):
-    rng, shape, (kh, kw, stride, padding) = case
-    x = rng.standard_normal(shape)
-    k = rng.standard_normal((2, shape[1], kh, kw))
-    y, cache = kernels.conv2d_forward(x, k, np.zeros(2), stride, padding)
-    dy = rng.standard_normal(y.shape)
-    dx, _, _ = kernels.conv2d_backward(dy, k, cache)
-    assert np.array_equal(kernels.conv2d_backward_input(dy, k, shape, stride, padding), dx)
-
-
 def test_backward_input_near_extended_precision_oracle(case):
     # The fused GEMM may round differently from the one-GEMM form, so hold
     # dx to a long-double oracle: rounding stays at a few ulps of max |dx|.
@@ -178,9 +167,10 @@ def test_backward_input_near_extended_precision_oracle(case):
     rows = dy.transpose(0, 2, 3, 1).reshape(-1, 2).astype(np.longdouble)
     want = loop_col2im(rows @ k.reshape(2, -1).astype(np.longdouble), shape,
                        kh, kw, stride, padding)
-    dx = kernels.conv2d_backward_input(dy, k, shape, stride, padding)
+    x = rng.standard_normal(shape)
+    dx = kernels.col2im(dy, k, x, stride, padding)[0]
     assert np.abs(dx - want).max() <= 1e-14 * np.abs(want).max()
-    again = kernels.conv2d_backward_input(dy, k, shape, stride, padding)
+    again = kernels.col2im(dy, k, x, stride, padding)[0]
     assert dx.tobytes() == again.tobytes()
 
 
@@ -236,7 +226,7 @@ def test_im2col_of_non_contiguous_input(case):
     assert (kernels.im2col(x, k, stride, padding).tobytes()
             == kernels.im2col(xc, k, stride, padding).tobytes())
     dy = rng.standard_normal(y.shape)
-    got, want = (kernels.col2im(dy, k, x.shape, stride, padding, a) for a in (x, xc))
+    got, want = (kernels.col2im(dy, k, a, stride, padding) for a in (x, xc))
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import attnfold.tensor as tensor_mod
-from attnfold import (ConvSpec, InvariantError, MatrixOperator, ConvOperator,
+from attnfold import (ConvSpec, InvariantError, MatrixOperator,
                       ShapeError, Tensor, batchnorm_infer, build_residual_chain,
                       channel_mul, conv2d, global_avg_pool, init_params, linear,
                       load_checkpoint, relu, save_checkpoint, sigmoid, spectral_norm)
@@ -271,40 +271,13 @@ class TestSpectralNorm:
             est = spectral_norm(MatrixOperator(w), iters=100)
             assert est <= np.linalg.norm(w) + 1e-12
 
-    def test_conv_operator_matches_dense_matrix(self):
-        rng = np.random.default_rng(15)
-        k = rng.standard_normal((2, 3, 3, 3))
-        spec = ConvSpec(stride=1, padding=1)
-        op = ConvOperator(k, spec, (4, 4))
-        dense = np.zeros((2 * 4 * 4, op.input_size))
-        for i in range(op.input_size):
-            e = np.zeros(op.input_size)
-            e[i] = 1.0
-            dense[:, i] = op.apply(e)
-        got = spectral_norm(op, iters=400, tol=1e-14)
-        assert got == pytest.approx(svd_oracle(dense), rel=1e-6)
-
-    def test_conv_operator_transpose_is_adjoint(self):
-        rng = np.random.default_rng(16)
-        k = rng.standard_normal((3, 2, 3, 3))
-        op = ConvOperator(k, ConvSpec(stride=2, padding=1), (6, 6))
-        x = rng.standard_normal(op.input_size)
-        y = rng.standard_normal(op.apply(x).size)
-        assert np.dot(op.apply(x), y) == pytest.approx(np.dot(x, op.apply_transpose(y)),
-                                                       rel=1e-12)
-
-
-def dense_matrix(op):
-    """The operator's dense matrix, one column per unit input vector."""
-    return np.stack([op.apply(e) for e in np.eye(op.input_size)], axis=1)
-
 
 def svd_norm(w):
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
 class TestSpectralNormPaths:
-    """Explicit matrices take the exact path; implicit convs power-iterate."""
+    """Explicit matrices take one exact eigen-solve, memoised when immutable."""
 
     @pytest.mark.parametrize("shape, transpose",
                              [((5, 9), False), ((9, 5), False), ((7, 7), False),
@@ -372,34 +345,6 @@ class TestSpectralNormPaths:
             tracemalloc.stop()
         assert not table
         assert held < 100_000
-
-    @pytest.mark.parametrize("ksize", [1, 3, 5])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 2])
-    def test_conv_operator_against_dense_svd(self, ksize, stride, padding):
-        rng = np.random.default_rng(100 * ksize + 10 * stride + padding)
-        op = ConvOperator(rng.standard_normal((3, 2, ksize, ksize)),
-                          ConvSpec(stride=stride, padding=padding), (6, 6))
-        s = np.linalg.svd(dense_matrix(op), compute_uv=False)
-        iters = 2000
-        got = spectral_norm(op, iters=iters, tol=1e-14)
-        # Power iteration approaches s0 from below, shrinking the error by
-        # (s1/s0)^2 per step. Where that rate leaves it short after `iters`
-        # steps (padded convs can have a near-tied leading pair), it must
-        # still resolve the norm to the leading gap; an exact tie converges
-        # like a single leading value.
-        ratio = s[1] / s[0]
-        slow = ratio ** (2 * iters) >= 1e-12
-        rel = max(1e-9, 1.0 - ratio) if slow else 1e-9
-        assert s[0] * (1.0 - rel) <= got <= s[0] * (1.0 + 1e-12)
-
-    def test_conv_operator_non_decreasing_in_iters(self):
-        k = np.random.default_rng(19).standard_normal((3, 2, 3, 3))
-        op = ConvOperator(k, ConvSpec(stride=1, padding=1), (5, 5))
-        ests = [spectral_norm(op, iters=n, tol=0.0) for n in (1, 2, 5, 10, 30, 80)]
-        for a, b in zip(ests, ests[1:]):
-            assert b >= a - 1e-12
-        assert ests[-1] <= svd_norm(dense_matrix(op)) * (1 + 1e-12)
 
 
 class TestLoadedMatrixMemo:
