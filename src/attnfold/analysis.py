@@ -18,6 +18,8 @@ from .graph import ModelGraph, count_flops_conv, count_params
 from .tensor import MatrixOperator, spectral_norm
 from .train import StripeRecord, evaluate
 
+BOUND_SLACK = 1e-9  # relative rounding slack of every perturbation-bound check
+
 
 # ---------------------------------------------------------------------------
 # Stripe statistics
@@ -104,8 +106,8 @@ class PerturbationTrace:
     eps_final: float = 0.0
     bound_product: float = 0.0   # M = prod(1 + alpha_t ||W_t||)
 
-    def product_holds(self, slack: float = 1e-9) -> bool:
-        return self.eps_final <= self.eps * self.bound_product * (1.0 + slack)
+    def product_holds(self) -> bool:
+        return self.eps_final <= self.eps * self.bound_product * (1.0 + BOUND_SLACK)
 
 
 def perturb_trace(graph: ModelGraph, params: ParamSet, x0, eps: float,

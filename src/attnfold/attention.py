@@ -7,11 +7,14 @@ with its backward rule and trusts the tensor shapes it is given, which
 is the validating, `Tensor`-speaking layer over `kernels`). A variant is its
 entry in `VARIANTS`, its `param_shapes` and `body_input_dim`, one branch of
 `body_forward_raw` and, with a standard path, one of `pool_forward_raw`.
+A slot (`AsrSlot`) and a module (`AttnModule`) share one attachment rule,
+`Attachment`: its range checks, its JSON form and the names `<ident>.<role>`
+of its body tensors, which the graph and autodiff read through `param_names`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -108,19 +111,34 @@ def init_tensor(role: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
 ATTACHMENT_TYPES = {"kind": dict, "channels": int, "position": str, "delta_index": int}
 
 
-def _check_attachment(a) -> None:
-    """Range checks shared by AsrSlot and AttnModule."""
-    if a.channels < 1:
-        raise InvariantError(f"channels must be >= 1, got {a.channels}")
-    if a.position not in POSITIONS:
-        raise InvariantError(f"unknown position tag {a.position!r}")
-    if a.delta_index < 0:
-        raise InvariantError("delta_index must be >= 0")
-    a.kind.param_shapes(a.channels)  # raises if the kind cannot be sized for them
+class Attachment:
+    """The rule a slot and a module share: range checks, JSON form and the
+    body tensors `<ident>.<role>`. A subclass is a dataclass with an `ident`."""
+
+    def __post_init__(self):
+        if self.channels < 1:
+            raise InvariantError(f"channels must be >= 1, got {self.channels}")
+        if self.position not in POSITIONS:
+            raise InvariantError(f"unknown position tag {self.position!r}")
+        if self.delta_index < 0:
+            raise InvariantError("delta_index must be >= 0")
+        self.kind.param_shapes(self.channels)  # raises if the kind cannot be sized for them
+
+    @property
+    def param_names(self) -> dict[str, str]:
+        return {role: f"{self.ident}.{role}"
+                for role in self.kind.param_shapes(self.channels)}
+
+    def gather(self, values: dict) -> dict[str, np.ndarray]:
+        return {role: values[name] for role, name in self.param_names.items()}
+
+    def to_dict(self) -> dict:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return d | {"kind": self.kind.to_dict()}
 
 
 @dataclass
-class AsrSlot:
+class AsrSlot(Attachment):
     """One constant-input attention instance attached to a graph position."""
 
     slot_id: str
@@ -129,13 +147,21 @@ class AsrSlot:
     position: str = "after_last_bn"
     delta_index: int = 0
     psi_mode: str = "learnable"  # learnable | frozen_constant | frozen_gaussian
-    psi_init: float = 0.1
+    psi_init: float = 0.1        # psi's value, or its std under frozen_gaussian
     psi_seed: int = 0
 
     def __post_init__(self):
-        _check_attachment(self)
+        super().__post_init__()
         if self.psi_mode not in ("learnable", "frozen_constant", "frozen_gaussian"):
             raise InvariantError(f"unknown psi mode {self.psi_mode!r}")
+        if not np.isfinite(self.psi_init) or (
+                self.psi_mode == "frozen_gaussian" and self.psi_init < 0):
+            raise InvariantError(f"psi_init must be finite, and >= 0 as a frozen_gaussian "
+                                 f"std, got {self.psi_init} ({self.psi_mode})")
+
+    @property
+    def ident(self) -> str:
+        return self.slot_id
 
     @property
     def psi_dim(self) -> int:
@@ -146,11 +172,6 @@ class AsrSlot:
         return f"{self.slot_id}.psi"
 
     @property
-    def param_names(self) -> dict[str, str]:
-        return {role: f"{self.slot_id}.{role}"
-                for role in self.kind.param_shapes(self.channels)}
-
-    @property
     def psi_trainable(self) -> bool:
         return self.psi_mode == "learnable"
 
@@ -159,15 +180,6 @@ class AsrSlot:
             rng = np.random.default_rng(self.psi_seed)
             return rng.normal(0.0, self.psi_init, self.psi_dim)
         return np.full(self.psi_dim, self.psi_init)
-
-    def gather(self, values: dict) -> dict[str, np.ndarray]:
-        return {role: values[name] for role, name in self.param_names.items()}
-
-    def to_dict(self) -> dict:
-        return {"slot_id": self.slot_id, "kind": self.kind.to_dict(),
-                "channels": self.channels, "position": self.position,
-                "delta_index": self.delta_index, "psi_mode": self.psi_mode,
-                "psi_init": self.psi_init, "psi_seed": self.psi_seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AsrSlot":
@@ -182,7 +194,7 @@ class AsrSlot:
 
 
 @dataclass
-class AttnModule:
+class AttnModule(Attachment):
     """A standard (input-dependent) attention module attached to a graph."""
 
     module_id: str
@@ -194,20 +206,11 @@ class AttnModule:
     def __post_init__(self):
         if self.kind.variant == "no_body":
             raise InvariantError("the body-less variant has no standard path")
-        _check_attachment(self)
+        super().__post_init__()
 
     @property
-    def param_names(self) -> dict[str, str]:
-        return {role: f"{self.module_id}.{role}"
-                for role in self.kind.param_shapes(self.channels)}
-
-    def gather(self, values: dict) -> dict[str, np.ndarray]:
-        return {role: values[name] for role, name in self.param_names.items()}
-
-    def to_dict(self) -> dict:
-        return {"module_id": self.module_id, "kind": self.kind.to_dict(),
-                "channels": self.channels, "position": self.position,
-                "delta_index": self.delta_index}
+    def ident(self) -> str:
+        return self.module_id
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttnModule":
@@ -358,7 +361,6 @@ def asr_backward_raw(cache: tuple, dy: np.ndarray
     """(dx, dpsi, grads by role) of one `asr_apply_raw` call."""
     x, v, back = cache
     dx = kernels.channel_scale(dy, v)
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    du, dp = back((dy * x).sum(axis=axes)[None, :])
+    du, dp = back((dy * x).sum(axis=kernels.bn_axes(x))[None, :])
     return dx, du[0], dp
 

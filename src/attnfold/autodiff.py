@@ -278,14 +278,16 @@ def _add_back(dy):
 
 def _asr_back(dy, slot, cache):
     dx, dpsi, dp = attention.asr_backward_raw(cache, dy)
-    grads = {f"{slot.slot_id}.{role}": g for role, g in dp.items()}
+    names = slot.param_names
+    grads = {names[role]: g for role, g in dp.items()}
     grads[slot.psi_name] = dpsi
     return [dx], grads
 
 
 def _attn_back(dy, mod, cache):
     dx, dp = attention.attn_backward_raw(cache, dy)
-    return [dx], {f"{mod.module_id}.{role}": g for role, g in dp.items()}
+    names = mod.param_names
+    return [dx], {names[role]: g for role, g in dp.items()}
 
 
 def recorder(into: dict):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (NoiseSpec, bench, noise_attack_eval, perturb_trace,
+from .analysis import (BOUND_SLACK, NoiseSpec, bench, noise_attack_eval, perturb_trace,
                        stripe_channel_std, stripe_first_diff)
 from .attention import POSITIONS
 from .backbones import build_residual_chain
@@ -238,7 +238,7 @@ def cmd_perturb(args) -> int:
                                   seed=int(rng.integers(0, 2 ** 31)))
             prev = trace.eps
             for row in trace.rows:
-                holds = row.eps_t <= prev * row.factor * (1 + 1e-9)
+                holds = row.eps_t <= prev * row.factor * (1 + BOUND_SLACK)
                 rows.append([eps, trial, row.t, prev, row.eps_t, row.alpha_t,
                              row.w_norm, row.factor, int(holds)])
                 prev = row.eps_t

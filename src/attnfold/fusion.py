@@ -15,46 +15,37 @@ from .errors import FusionError, InvariantError, ShapeError
 from .graph import ModelGraph, remove_node, validate_graph
 from .tensor import Tensor, as_array
 
-FOLD_INTO_CONV = "into_conv"
-FOLD_INTO_BN = "into_bn"
-FOLD_INTO_FC = "into_fc"
-FOLD_INTO_ATTENTION_VALUE = "into_attention_value"
+def _scale_rows(v: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """Each array with row i of axis 0 multiplied by v_i: every fold is this
+    rule on the roles of the layer that v follows (`FOLDS`)."""
+    if any(a.shape[:1] != v.shape for a in arrays):
+        raise ShapeError(f"vector of shape {v.shape} does not match the rows of "
+                         f"tensors {[a.shape for a in arrays]}")
+    return [a * v.reshape(-1, *(1,) * (a.ndim - 1)) for a in arrays]
+
+
+def _fold(v, *tensors) -> tuple[Tensor, ...]:
+    return tuple(map(Tensor._wrap, _scale_rows(as_array(v), *map(as_array, tensors))))
 
 
 def fold_into_conv(k, b, v) -> tuple[Tensor, Tensor]:
     """Scale the o-th output kernel and bias entry by v_o."""
-    ka, ba, va = as_array(k), as_array(b), as_array(v)
-    if va.shape != (ka.shape[0],):
-        raise ShapeError(f"vector length {va.shape} does not match {ka.shape[0]} kernels")
-    if ba.shape != (ka.shape[0],):
-        raise ShapeError(f"bias length {ba.shape} does not match {ka.shape[0]} kernels")
-    return Tensor._wrap(ka * va[:, None, None, None]), Tensor._wrap(ba * va)
+    return _fold(v, k, b)
 
 
 def fold_into_bn(gamma, beta, v) -> tuple[Tensor, Tensor]:
     """gamma' = gamma*v, beta' = beta*v; running statistics untouched."""
-    ga, ba, va = as_array(gamma), as_array(beta), as_array(v)
-    if not (ga.shape == ba.shape == va.shape):
-        raise ShapeError(f"length mismatch: gamma {ga.shape}, beta {ba.shape}, v {va.shape}")
-    return Tensor._wrap(ga * va), Tensor._wrap(ba * va)
+    return _fold(v, gamma, beta)
 
 
 def fold_into_fc(w, bias, v) -> tuple[Tensor, Tensor]:
     """Scale row i of W and bias_i by v_i (bias scaling forced by distributivity)."""
-    wa, ba, va = as_array(w), as_array(bias), as_array(v)
-    if va.shape != (wa.shape[0],):
-        raise ShapeError(f"vector length {va.shape} does not match {wa.shape[0]} rows")
-    if ba.shape != (wa.shape[0],):
-        raise ShapeError(f"bias length {ba.shape} does not match {wa.shape[0]} rows")
-    return Tensor._wrap(wa * va[:, None]), Tensor._wrap(ba * va)
+    return _fold(v, w, bias)
 
 
 def fold_into_attention_value(w_v, v) -> Tensor:
     """Output-row scaling of the value projection: W_V' = W_V * v."""
-    wa, va = as_array(w_v), as_array(v)
-    if va.shape != (wa.shape[0],):
-        raise ShapeError(f"vector length {va.shape} does not match {wa.shape[0]} rows")
-    return Tensor._wrap(wa * va[:, None])
+    return _fold(v, w_v)[0]
 
 
 def attention_value_forward(w_q, w_k, w_v, x) -> Tensor:
@@ -94,10 +85,10 @@ class FusionReport:
         return "\n".join(lines) + "\n"
 
 
-# Foldable layer kind -> (fold kind, fold rule, the parameter roles it rescales).
-FOLDS = {"conv": (FOLD_INTO_CONV, fold_into_conv, ("k", "b")),
-         "bn": (FOLD_INTO_BN, fold_into_bn, ("gamma", "beta")),
-         "linear": (FOLD_INTO_FC, fold_into_fc, ("w", "b"))}
+# Foldable layer kind -> (fold kind, the parameter roles whose rows it scales).
+FOLDS = {"conv": ("into_conv", ("k", "b")),
+         "bn": ("into_bn", ("gamma", "beta")),
+         "linear": ("into_fc", ("w", "b"))}
 
 
 def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100,
@@ -114,7 +105,7 @@ def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100
     for node in [n for n in graph.nodes if n.kind == "asr"]:
         slot = g.slots[node.attrs["slot"]]
         v, _ = attention.asr_vector_raw(slot, p.values)
-        if (v <= 0).any():
+        if not (v > 0).all():  # NaN fails too
             raise InvariantError(f"slot {slot.slot_id} vector has non-positive entries")
         by_name = {n.name: n for n in g.nodes}
         consumers: dict[str, list[str]] = {}
@@ -140,10 +131,9 @@ def fuse_model(graph: ModelGraph, params: ParamSet, *, verify_samples: int = 100
             raise FusionError(
                 f"slot {slot.slot_id} has no foldable upstream layer: reached "
                 f"{target.kind} node {target.name!r}")
-        kind, rule, roles = FOLDS[target.kind]
+        kind, roles = FOLDS[target.kind]
         names = [f"{target.name}.{role}" for role in roles]
-        for name, folded in zip(names, rule(*(p.values[n] for n in names), v)):
-            p.values[name] = folded.data
+        p.values.update(zip(names, _scale_rows(v, *(p.values[n] for n in names))))
         remove_node(g, p, node.name)
         report.rows.append(FusionRow(slot_id=slot.slot_id, fold_kind=kind,
                                      target_layer=target.name,

@@ -175,29 +175,21 @@ def _layer(graph: ModelGraph, node: LayerNode,
         if len(ins) != 2 or ins[0] != ins[1]:
             raise GraphError(f"add {name!r} needs two equal-shaped inputs, got {ins}")
         return s, {}, 0
-    if kind == "asr":
-        slot = graph.slots.get(a.get("slot"))
-        if slot is None:
-            raise GraphError(f"asr node {name!r} references unknown slot {a.get('slot')!r}")
-        if s[0] != slot.channels:
-            raise GraphError(f"slot {slot.slot_id} covers {slot.channels} channels, "
-                             f"input has {s[0]}")
-        tensors = {f"{slot.slot_id}.{role}": shape
-                   for role, shape in slot.kind.param_shapes(slot.channels).items()}
-        tensors[slot.psi_name] = (slot.psi_dim,)
-        return s, tensors, 0
-    if kind == "attn":
-        mod = graph.modules.get(a.get("module"))
-        if mod is None:
-            raise GraphError(f"attn node {name!r} references unknown module "
-                             f"{a.get('module')!r}")
-        if len(s) != 3:
+    if kind in ("asr", "attn"):
+        ref, table = ("slot", graph.slots) if kind == "asr" else ("module", graph.modules)
+        att = table.get(a.get(ref))
+        if att is None:
+            raise GraphError(f"{kind} node {name!r} references unknown {ref} {a.get(ref)!r}")
+        if kind == "attn" and len(s) != 3:
             raise GraphError(f"attn {name!r} needs a [C,H,W] input, got {s}")
-        if s[0] != mod.channels:
-            raise GraphError(f"module {mod.module_id} covers {mod.channels} channels, "
+        if s[0] != att.channels:
+            raise GraphError(f"{ref} {att.ident} covers {att.channels} channels, "
                              f"input has {s[0]}")
-        return s, {f"{mod.module_id}.{role}": shape
-                   for role, shape in mod.kind.param_shapes(mod.channels).items()}, 0
+        shapes = att.kind.param_shapes(att.channels)
+        tensors = {tensor: shapes[role] for role, tensor in att.param_names.items()}
+        if kind == "asr":
+            tensors[att.psi_name] = (att.psi_dim,)
+        return s, tensors, 0
     raise GraphError(f"unknown layer kind {kind!r} in node {name!r}")
 
 
@@ -210,19 +202,15 @@ def validate_graph(graph: ModelGraph) -> dict[str, tuple[tuple[int, ...], dict, 
             if ch.isspace():
                 raise GraphError(f"node name {node.name!r} contains whitespace")
     walk = layer_walk(graph)
-    referenced = {n.attrs["slot"] for n in graph.nodes if n.kind == "asr"}
-    if referenced != set(graph.slots):
-        raise GraphError(f"slot references {sorted(referenced)} do not match "
-                         f"declared slots {sorted(graph.slots)}")
-    refmods = {n.attrs["module"] for n in graph.nodes if n.kind == "attn"}
-    if refmods != set(graph.modules):
-        raise GraphError(f"module references {sorted(refmods)} do not match "
-                         f"declared modules {sorted(graph.modules)}")
+    for kind, ref, table in (("asr", "slot", graph.slots), ("attn", "module", graph.modules)):
+        referenced = {n.attrs[ref] for n in graph.nodes if n.kind == kind}
+        if referenced != set(table):
+            raise GraphError(f"{ref} references {sorted(referenced)} do not match "
+                             f"declared {ref}s {sorted(table)}")
     # Tensor names derive from the ids, so an id must be its key and unique.
-    ids = [(k, s.slot_id) for k, s in graph.slots.items()]
-    for key, ident in ids + [(k, m.module_id) for k, m in graph.modules.items()]:
-        if key != ident:
-            raise GraphError(f"attention entry {key!r} declares id {ident!r}; they must match")
+    for key, att in [*graph.slots.items(), *graph.modules.items()]:
+        if key != att.ident:
+            raise GraphError(f"attention entry {key!r} declares id {att.ident!r}; they must match")
     if set(graph.slots) & set(graph.modules):
         raise GraphError(f"ids {sorted(set(graph.slots) & set(graph.modules))} name both "
                          f"a slot and a module")

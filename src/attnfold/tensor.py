@@ -214,12 +214,10 @@ def all_finite(a: np.ndarray) -> bool:
     return immutable_memo("finite", (a,), lambda: bool(np.isfinite(a).all()))
 
 
-def spectral_norm(op: MatrixOperator, iters: int = 100, tol: float = 1e-8,
-                  seed: int = 0) -> float:
+def spectral_norm(op: MatrixOperator) -> float:
     """Largest singular value ||W||_2 of a `MatrixOperator`, exact up to
     rounding: one symmetric eigen-solve of the smaller Gram matrix (W W^T or
-    W^T W). Returns 0 for the zero or empty matrix. `iters`, `tol` and `seed`
-    are accepted and ignored.
+    W^T W). Returns 0 for the zero or empty matrix.
 
     A matrix held in immutable `bytes` (every tensor `load_checkpoint`
     returns) cannot change, so its norm is solved once and found again by

@@ -133,7 +133,7 @@ class TestPerturbTrace:
             eps_in = [trace.eps] + [row.eps_t for row in trace.rows[:-1]]
             for row, eps_t in zip(trace.rows, eps_in):
                 assert row.eps_t <= eps_t * row.factor * (1.0 + 1e-9)
-            assert trace.product_holds(1e-9)
+            assert trace.product_holds()
 
     def test_no_asr_alpha_is_one_and_bound_larger(self):
         g_plain = build_residual_chain(3, 6, with_slots=False)

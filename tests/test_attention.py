@@ -176,6 +176,27 @@ class TestAsrVector:
         assert make_slot(AttentionKind("ie")).psi_trainable is True
 
 
+class TestPsiInit:
+    @pytest.mark.parametrize("mode", ["learnable", "frozen_constant", "frozen_gaussian"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, mode, value):
+        with pytest.raises(InvariantError, match="psi_init"):
+            make_slot(AttentionKind("ie"), psi_mode=mode, psi_init=value)
+
+    def test_negative_gaussian_std_rejected(self):
+        with pytest.raises(InvariantError, match="psi_init"):
+            make_slot(AttentionKind("ie"), psi_mode="frozen_gaussian", psi_init=-1.0)
+
+    @pytest.mark.parametrize("mode", ["learnable", "frozen_constant"])
+    def test_negative_constant_kept(self, mode):
+        slot = make_slot(AttentionKind("ie"), psi_mode=mode, psi_init=-1.0)
+        assert (slot.init_psi() == -1.0).all()
+
+    def test_zero_gaussian_std_kept(self):
+        slot = make_slot(AttentionKind("ie"), psi_mode="frozen_gaussian", psi_init=0.0)
+        assert (slot.init_psi() == 0.0).all()
+
+
 class TestAsrApply:
     def test_identity_when_v_one(self):
         # drive psi strongly positive so v is within 1e-12 of 1

@@ -445,6 +445,24 @@ class TestValueValidation:
         with pytest.raises(FormatError, match="'block0.bn1.running_var'.*negative"):
             load_checkpoint(f)
 
+    @pytest.mark.parametrize("builder,value", [
+        (lambda: build_toy_resnet(1, 4, 3, AttachSpec(kind=AttentionKind("ie")),
+                                  image_size=6), float("nan")),
+        (lambda: build_residual_chain(2, 4), -1.0)], ids=["nan-constant", "negative-std"])
+    def test_bad_psi_init_rejected(self, tmp_path, builder, value):
+        g = builder()
+        f = tmp_path / "m.ckpt"
+        save_checkpoint(f, g, init_params(g, seed=0))
+
+        def edit(d):
+            for slot in d["slots"].values():
+                slot["psi_init"] = value
+            return d
+
+        rewrite_graph(f, edit)
+        with pytest.raises(InvariantError, match="psi_init"):
+            load_checkpoint(f)
+
     def test_zero_running_var_and_huge_weights_accepted(self, model, tmp_path):
         g, p = model
         p.values["block0.bn1.running_var"] = np.zeros(4)

@@ -496,6 +496,15 @@ class TestChainPerturb:
         # 2 eps x 2 trials x (3 blocks + 1 summary row)
         assert len(body) == 2 * 2 * 4
 
+    @pytest.mark.parametrize("psi_std", ["nan", "inf", "-1"])
+    def test_chain_rejects_bad_psi_std(self, workspace, capsys, psi_std):
+        root, _ = workspace
+        ckpt = root / "chain.ckpt"
+        assert run(["chain", ckpt, "--depth", 2, "--width", 8, "--psi-std", psi_std]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "psi_init" in err
+        assert not ckpt.exists()
+
     def test_perturb_rejects_non_chain(self, workspace, capsys):
         root, cfg = workspace
         out = root / "runs"

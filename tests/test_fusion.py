@@ -218,6 +218,16 @@ class TestFuseModel:
         with pytest.raises(FusionError, match="s0"):
             fuse_model(g, p, verify_samples=0)
 
+    def test_nan_vector_rejected(self):
+        # an infinite IE gamma times a zero psi makes the slot vector NaN
+        from attnfold import InvariantError
+        spec = AttachSpec(kind=AttentionKind("ie"), psi_mode="frozen_constant", psi_init=0.0)
+        g = build_toy_resnet(1, 4, 3, spec, image_size=6)
+        p = init_params(g, seed=12)
+        p.values["block0.asr0.gamma"] = np.full(4, np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantError, match="block0.asr0"):
+            fuse_model(g, p, verify_samples=0)
+
     def test_shared_target_rejected(self):
         # the fold target also feeds a second consumer: folding would leak
         from attnfold import LayerNode, ModelGraph
@@ -255,6 +265,55 @@ class TestFuseModel:
         baseline = build_toy_resnet(1, 4, 3, None, image_size=6)
         pb = init_params(baseline, seed=11)
         assert set(p2.values) == set(pb.values)
+
+
+# The layer each builder's position tag folds into (after_relu passes the
+# ReLU), within the slot's block or stage, and the roles a fold rescales.
+FOLD_TARGET = {build_toy_resnet: {"after_conv1": "conv1", "after_bn1": "bn1",
+                                  "after_relu": "bn1", "after_last_bn": "bn2"},
+               build_toy_vgg: {"after_conv1": "conv", "after_bn1": "bn",
+                               "after_relu": "bn", "after_last_bn": "bn"}}
+TARGET_ROLES = {"conv": ("k", "b"), "conv1": ("k", "b"), "bn": ("gamma", "beta"),
+                "bn1": ("gamma", "beta"), "bn2": ("gamma", "beta")}
+
+
+class TestFusedBits:
+    @pytest.mark.parametrize("variant", ["se", "ie"])
+    @pytest.mark.parametrize("position", ["after_conv1", "after_bn1", "after_last_bn",
+                                          "after_relu"])
+    @pytest.mark.parametrize("builder", [build_toy_resnet, build_toy_vgg],
+                             ids=["resnet", "vgg"])
+    def test_fused_bytes_equal_row_scaling_oracle(self, builder, position, variant):
+        """Every fused tensor holds the bits of its target layer's role rows
+        multiplied by each slot's vector in node order; every other tensor
+        keeps its bits."""
+        from attnfold.attention import asr_vector_raw
+        spec = AttachSpec(kind=AttentionKind(variant, reduction=2), position=position,
+                          delta=2)
+        g = builder(2, 4, 3, spec, image_size=8)
+        p = init_params(g, seed=31)
+        rng = np.random.default_rng(32)
+        for name, arr in list(p.values.items()):
+            if name.endswith((".running_var", ".gamma")):
+                p.values[name] = rng.uniform(0.5, 1.5, arr.shape)
+            elif name.endswith((".running_mean", ".beta")):
+                p.values[name] = rng.normal(0.0, 0.2, arr.shape)
+            elif name.endswith(".psi"):
+                p.values[name] = rng.normal(0.0, 1.0, arr.shape)
+        expected = {n: a for n, a in p.values.items()
+                    if n.rpartition(".")[0] not in g.slots}
+        for node in (n for n in g.nodes if n.kind == "asr"):
+            v, _ = asr_vector_raw(g.slots[node.name], p.values)
+            block = node.name.rpartition(".")[0]
+            target = FOLD_TARGET[builder][position]
+            for role in TARGET_ROLES[target]:
+                name = f"{block}.{target}.{role}"
+                a = expected[name]
+                expected[name] = a * v.reshape(-1, *(1,) * (a.ndim - 1))
+        _, p2, _ = fuse_model(g, p, verify_samples=0)
+        assert sorted(p2.values) == sorted(expected)
+        for name, a in expected.items():
+            assert p2.values[name].tobytes() == a.tobytes(), name
 
 
 class TestVerifyEquivalence:

@@ -253,22 +253,14 @@ class TestSpectralNorm:
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(12)
         w = rng.standard_normal((8, 8))
-        got = spectral_norm(MatrixOperator(w), iters=200, tol=1e-14)
+        got = spectral_norm(MatrixOperator(w))
         assert got == pytest.approx(svd_oracle(w), rel=1e-6)
-
-    def test_non_decreasing_in_iters(self):
-        rng = np.random.default_rng(13)
-        w = rng.standard_normal((10, 10))
-        ests = [spectral_norm(MatrixOperator(w), iters=k, tol=0.0)
-                for k in (1, 2, 5, 10, 30, 80)]
-        for a, b in zip(ests, ests[1:]):
-            assert b >= a - 1e-12
 
     def test_below_frobenius(self):
         rng = np.random.default_rng(14)
         for trial in range(20):
             w = rng.standard_normal((6, 9))
-            est = spectral_norm(MatrixOperator(w), iters=100)
+            est = spectral_norm(MatrixOperator(w))
             assert est <= np.linalg.norm(w) + 1e-12
 
 
@@ -290,11 +282,6 @@ class TestSpectralNormPaths:
             w = w.T
         oracle = svd_norm(w)
         assert abs(spectral_norm(MatrixOperator(w)) - oracle) <= 1e-12 * oracle
-
-    def test_matrix_ignores_power_iteration_knobs(self):
-        w = np.random.default_rng(18).standard_normal((20, 30))
-        assert (spectral_norm(MatrixOperator(w), iters=1, tol=1.0, seed=5)
-                == spectral_norm(MatrixOperator(w)))
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (0, 4), (4, 0)])
     def test_zero_and_empty_matrix(self, shape):
